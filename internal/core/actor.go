@@ -68,10 +68,15 @@ func (a *actor) run() {
 			a.cond.Wait()
 		}
 		if len(a.queue) == 0 && a.stopped {
+			a.queue = nil
 			a.mu.Unlock()
 			return
 		}
+		// Clear the slot before reslicing: the backing array outlives
+		// the dequeue, and a stale task would pin its args (possibly a
+		// borrowed request frame) for as long as the actor is reachable.
 		t := a.queue[0]
+		a.queue[0] = actorTask{}
 		a.queue = a.queue[1:]
 		a.mu.Unlock()
 		a.w.rt.queuedTasks.Add(-1)
@@ -158,6 +163,7 @@ func (a *actor) enqueue(t actorTask) error {
 		// failed outside the lock (reply channels are buffered, but the
 		// mailbox must not care).
 		evicted, shedOldest = a.queue[0], true
+		a.queue[0] = actorTask{}
 		a.queue = a.queue[1:]
 		a.pending--
 		a.w.rt.queuedTasks.Add(-1)

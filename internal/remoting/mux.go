@@ -524,20 +524,38 @@ func (mc *muxConn) failureErr() error {
 }
 
 // maxWriteBatch bounds how many queued frames one coalesced write carries,
-// on the mux writer and the server's response writer alike. The bound
-// keeps a single write's latency and buffer assembly predictable; greedy
-// draining below it means batching never delays a frame that could have
-// been written now (flush-on-idle: an empty queue flushes immediately).
+// on the mux writer and the server's reply flusher alike. The bound keeps
+// a single write's latency and buffer assembly predictable.
+//
+// Both writers drain greedily, but a greedy drain alone rarely finds more
+// than one frame. On the client, the caller that enqueues readies the lane
+// writer into its own processor's next-to-run slot, so the writer runs the
+// moment that caller parks, before any other caller has had a turn; on the
+// server, a handler usually finishes its own write before the next handler
+// runs, so each one finds no active flusher. So before a short write
+// — fewer than maxWriteBatch frames queued while the lane (or server
+// connection) has more calls in flight than frames queued — the writer
+// yields the processor once (coalesceYield), letting callers that are
+// already runnable enqueue into the same write. A lone in-flight call
+// never yields: its write goes out exactly as before.
 const maxWriteBatch = 64
+
+// coalesceYield reports whether a writer about to write queued frames
+// should first yield once: only when the queue holds less than a full
+// batch and more calls are in flight than frames queued, so another
+// caller may be about to add one. Writers call it once per write.
+func coalesceYield(queued, inflight int) bool {
+	return queued > 0 && queued < maxWriteBatch && inflight > queued
+}
 
 // writer is the per-lane writer goroutine: it serialises frames from every
 // caller onto the wire, swapping the whole accumulated queue out under one
-// lock so frames that piled up while the previous write was in flight
-// leave in coalesced wire writes (chunks of maxWriteBatch) instead of one
-// syscall each. Once a batch's bytes have left through the transport
-// (which copies or vectors them), its pooled encoders are released. The
-// spare slice ping-pongs with the queue's backing array, so the
-// steady-state swap allocates nothing.
+// lock so frames that piled up — during the previous write, or during the
+// one coalescing yield before a short write — leave in coalesced wire
+// writes (chunks of maxWriteBatch) instead of one syscall each. Once a
+// batch's bytes have left through the transport (which copies or vectors
+// them), its pooled encoders are released. The spare slice ping-pongs with
+// the queue's backing array, so the steady-state swap allocates nothing.
 func (mc *muxConn) writer() {
 	spare := make([]outFrame, 0, maxWriteBatch)
 	raws := make([][]byte, 0, maxWriteBatch)
@@ -549,6 +567,11 @@ func (mc *muxConn) writer() {
 		}
 		for {
 			mc.outMu.Lock()
+			if coalesceYield(len(mc.outQ), len(mc.slots)) {
+				mc.outMu.Unlock()
+				runtime.Gosched()
+				mc.outMu.Lock()
+			}
 			if len(mc.outQ) == 0 {
 				mc.outMu.Unlock()
 				break

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -310,10 +311,12 @@ func (s *Server) acceptLoop() {
 // every concurrent handler is empty, while later handlers just append
 // their frame and return. A sequential connection (pooled, legacy, HTTP)
 // therefore writes directly with zero added hops, exactly as before,
-// while a pipelined connection under load coalesces everything that
-// accumulated during the previous write into one syscall. The queue is
-// bounded by the number of in-flight handlers, the same backpressure the
-// old per-connection write lock provided.
+// while a pipelined connection under load coalesces into one syscall
+// everything that accumulated during the previous write or during the one
+// yield the flusher takes before a short write while other handlers are
+// still running (see maxWriteBatch). The queue is bounded by the number of
+// in-flight handlers, the same backpressure the old per-connection write
+// lock provided.
 type serverConn struct {
 	s       *Server
 	c       transport.Conn
@@ -324,6 +327,11 @@ type serverConn struct {
 	pending []outFrame
 	writing bool // a flusher is active; it will pick pending up
 	failed  bool // the connection write-failed; discard instead of writing
+
+	// inflight counts requests handed to a handler whose respond has not
+	// returned yet; the flusher compares it with the queue length to
+	// decide whether a short write is worth one yield (coalesceYield).
+	inflight atomic.Int64
 
 	// Flusher-owned scratch, reused across flushes so the steady-state
 	// write path allocates nothing: spare ping-pongs with pending's
@@ -392,11 +400,11 @@ func (sc *serverConn) lookupBind(h uint32) *bindEntry {
 // fresh goroutine in the idealised unbounded runtime) instead of blocking
 // the connection on one handler. Responses carry the request's sequence
 // number and complete out of order when a multiplexed client pipelines
-// calls; they are queued to the connection's writer goroutine, which
-// coalesces everything pending into batched wire writes. When a thread
-// pool is configured its cap still bounds server-side execution
-// concurrency exactly as Mono's ThreadPool did; pipelining only changes
-// how fast requests reach the pool's queue.
+// calls; they go through the connection's combining lock (respond), whose
+// active flusher coalesces everything pending into batched wire writes.
+// When a thread pool is configured its cap still bounds server-side
+// execution concurrency exactly as Mono's ThreadPool did; pipelining only
+// changes how fast requests reach the pool's queue.
 func (s *Server) handleConn(c transport.Conn) {
 	defer s.wg.Done()
 	sc := &serverConn{s: s, c: c}
@@ -464,6 +472,7 @@ func (s *Server) handleConn(c transport.Conn) {
 		}
 		handle := func() {
 			sc.respond(req, s.dispatchEntry(req, entry), bindAck)
+			sc.inflight.Add(-1)
 			if ownedFrame != nil {
 				transport.PutFrame(ownedFrame)
 			}
@@ -475,9 +484,11 @@ func (s *Server) handleConn(c transport.Conn) {
 			req.Args = nil
 		}
 		calls.Add(1)
+		sc.inflight.Add(1)
 		if s.pool != nil {
 			if submitErr := s.pool.Submit(func() { defer calls.Done(); handle() }); submitErr != nil {
 				sc.respond(req, errorResponse(req, fmt.Sprintf("server shutting down: %v", submitErr)), bindAck)
+				sc.inflight.Add(-1)
 				if ownedFrame != nil {
 					transport.PutFrame(ownedFrame)
 				}
@@ -515,12 +526,20 @@ func (sc *serverConn) respond(req *callRequest, resp *callResponse, bindAck uint
 }
 
 // flushLocked drains the pending queue, writing up to maxWriteBatch frames
-// per coalesced wire write with the lock released. Called with wmu held
-// and sc.writing owned; returns with wmu released.
+// per coalesced wire write with the lock released. Before a short write
+// with other handlers still running it yields once (coalesceYield); the
+// queue can only grow meanwhile, because while sc.writing is set other
+// handlers only append. LegacyTCP writes frame by frame and never yields.
+// Called with wmu held and sc.writing owned; returns with wmu released.
 func (sc *serverConn) flushLocked() {
 	ch := sc.s.ch
 	batchable := ch.kind != LegacyTCP
 	for len(sc.pending) > 0 {
+		if batchable && coalesceYield(len(sc.pending), int(sc.inflight.Load())) {
+			sc.wmu.Unlock()
+			runtime.Gosched()
+			sc.wmu.Lock()
+		}
 		batch := sc.pending
 		sc.pending = sc.spare[:0]
 		failed := sc.failed
