@@ -103,8 +103,16 @@ func newCountingMuxServer(t *testing.T) (*ObjRef, *writeCountingNetwork) {
 // keep many calls in flight, so both the lane writer and the server's
 // reply flusher must carry several frames per wire write instead of
 // writing each frame as soon as its caller enqueued it.
+//
+// The test pins one P: there the order in which the scheduler runs the
+// yielding writer and the callers does not depend on the machine's CPU
+// count, and both sides carry about 15-25 frames per write (1.0 without
+// the yield, except on the client under -race, which slows the writer
+// enough for callers to queue behind it). With more Ps the batch size
+// depends on the core count, so it is not asserted.
 func TestPipelinedWritesCoalesce(t *testing.T) {
 	const callers, calls = 32, 200
+	setProcs(t, 1)
 	ref, net := newCountingMuxServer(t)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
