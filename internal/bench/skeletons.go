@@ -156,7 +156,8 @@ func RunSkeletons(cfg SkeletonConfig) ([]SkeletonRow, error) {
 
 // runSkeletonAsync holds cfg.Outstanding unresolved futures against a
 // gated object on node 1, snapshots the goroutine delta at peak, then
-// opens the gate and times the drain.
+// opens the gate and times the drain. It then checks the same bound for
+// futures parked on a local object (parkLocalFutures).
 func runSkeletonAsync(rts []*core.Runtime, release chan struct{}, cfg SkeletonConfig) (SkeletonRow, error) {
 	ctx := context.Background()
 	hosted, err := parc.NewAt[skelGate](rts[1], "skel.gate")
@@ -216,6 +217,9 @@ func runSkeletonAsync(rts []*core.Runtime, release chan struct{}, cfg SkeletonCo
 			return SkeletonRow{}, fmt.Errorf("bench: skeletons drain: result %d came back %d", i, v)
 		}
 	}
+	if err := parkLocalFutures(rts[0], cfg.Outstanding, bound); err != nil {
+		return SkeletonRow{}, err
+	}
 	return SkeletonRow{
 		Scenario:       "async",
 		Nodes:          len(rts),
@@ -226,6 +230,47 @@ func runSkeletonAsync(rts []*core.Runtime, release chan struct{}, cfg SkeletonCo
 		Outstanding:    cfg.Outstanding,
 		GoroutineDelta: delta,
 	}, nil
+}
+
+// parkLocalFutures holds outstanding unresolved futures against a gated
+// object hosted on rt itself and hard-fails when the goroutine count grows
+// past bound: the mailbox resolves local futures, so they must not park a
+// goroutine each either. It runs after the remote drain, untimed, so the
+// async row's numbers are unaffected.
+func parkLocalFutures(rt *core.Runtime, outstanding, bound int) error {
+	ctx := context.Background()
+	release := make(chan struct{})
+	rt.RegisterClass("skel.gate.local", func() any { return &skelGate{release: release} })
+	gate, err := parc.NewAt[skelGate](rt, "skel.gate.local")
+	if err != nil {
+		return fmt.Errorf("bench: skeletons local gate: %w", err)
+	}
+	defer gate.Destroy(ctx) //nolint:errcheck // best-effort cleanup
+	if !gate.Proxy().IsLocal() {
+		return fmt.Errorf("bench: skeletons local gate placed on another node")
+	}
+	baseline := runtime.NumGoroutine()
+	results := make([]*parc.Result[int], outstanding)
+	for i := range results {
+		results[i] = parc.CallAsync[int](ctx, gate, "Hit", i)
+	}
+	delta := runtime.NumGoroutine() - baseline
+	close(release)
+	if delta > bound {
+		return fmt.Errorf(
+			"bench: skeletons: goroutine delta %d at %d outstanding local futures exceeds bound %d (goroutine-per-call regression?)",
+			delta, outstanding, bound)
+	}
+	vals, err := parc.WhenAll(results...).Get(ctx)
+	if err != nil {
+		return fmt.Errorf("bench: skeletons local drain: %w", err)
+	}
+	for i, v := range vals {
+		if v != i {
+			return fmt.Errorf("bench: skeletons local drain: result %d came back %d", i, v)
+		}
+	}
+	return nil
 }
 
 // runScatterSkeleton drives Scatter/Gather rounds for the window and

@@ -41,17 +41,16 @@ type actor struct {
 	moved  *errs.MovedError
 }
 
+// actorTask is one queued call. done, when non-nil, receives the outcome
+// exactly once — on the mailbox goroutine for a task that ran or was
+// skipped, on the evicting or aborting goroutine for one that never ran —
+// so it must not block, and must not call into this actor synchronously.
 type actorTask struct {
 	ctx    context.Context // caller's context; nil means background
 	method string
 	args   []any
 	batch  []any // non-nil for aggregate messages
-	reply  chan actorResult
-}
-
-type actorResult struct {
-	val any
-	err error
+	done   func(any, error)
 }
 
 func newActor(w *ioWrapper) *actor {
@@ -85,24 +84,24 @@ func (a *actor) run() {
 		if ctx == nil {
 			ctx = context.Background()
 		}
-		var res actorResult
-		if err := ctx.Err(); err != nil {
+		var val any
+		err := ctx.Err()
+		if err != nil {
 			// The caller gave up while the task sat in the mailbox:
 			// skip execution, matching what a context-aware method
 			// would do on entry. An expired deadline is counted as a
 			// dequeue-time drop — work the server admitted but could
 			// not start in time.
-			res.err = err
 			if errors.Is(err, context.DeadlineExceeded) {
 				a.w.rt.stats.deadlineDrops.Add(1)
 			}
 		} else if t.batch != nil {
-			_, res.err = a.w.InvokeBatch(ctx, t.method, t.batch)
+			_, err = a.w.InvokeBatch(ctx, t.method, t.batch)
 		} else {
-			res.val, res.err = a.w.Invoke1(ctx, t.method, t.args)
+			val, err = a.w.Invoke1(ctx, t.method, t.args)
 		}
-		if t.reply != nil {
-			t.reply <- res
+		if t.done != nil {
+			t.done(val, err)
 		}
 
 		a.mu.Lock()
@@ -114,7 +113,7 @@ func (a *actor) run() {
 	}
 }
 
-// enqueue adds a task; reply may be nil for fire-and-forget. While the
+// enqueue adds a task; done may be nil for fire-and-forget. While the
 // actor is paused for migration, enqueue blocks — bounded by the task's
 // context when it carries one; once the object has moved it fails with
 // the forward (a *errs.MovedError) instead, so a blocked caller comes out
@@ -160,8 +159,7 @@ func (a *actor) enqueue(t actorTask) error {
 				shedRetryAfter)
 		}
 		// ShedOldest: evict the head task to make room; its caller is
-		// failed outside the lock (reply channels are buffered, but the
-		// mailbox must not care).
+		// failed outside the lock.
 		evicted, shedOldest = a.queue[0], true
 		a.queue[0] = actorTask{}
 		a.queue = a.queue[1:]
@@ -175,10 +173,10 @@ func (a *actor) enqueue(t actorTask) error {
 	a.mu.Unlock()
 	if shedOldest {
 		a.w.rt.noteShed()
-		if evicted.reply != nil {
-			evicted.reply <- actorResult{err: errs.WithRetryAfter(
+		if evicted.done != nil {
+			evicted.done(nil, errs.WithRetryAfter(
 				fmt.Errorf("core: evicted from full mailbox (%d queued): %w", a.bound, errs.ErrOverloaded),
-				shedRetryAfter)}
+				shedRetryAfter))
 		}
 	}
 	return nil
@@ -271,42 +269,46 @@ func (a *actor) abort(mv *errs.MovedError) {
 	a.moved = mv
 	a.paused = false
 	a.stopped = true
-	for _, t := range a.queue {
-		if t.reply != nil {
-			t.reply <- actorResult{err: mv}
-		}
-		a.pending--
-	}
-	a.w.rt.queuedTasks.Add(int64(-len(a.queue)))
+	queue := a.queue
+	a.pending -= len(queue)
+	a.w.rt.queuedTasks.Add(int64(-len(queue)))
 	a.queue = nil
 	a.cond.Broadcast()
 	a.mu.Unlock()
+	for _, t := range queue {
+		if t.done != nil {
+			t.done(nil, mv)
+		}
+	}
 }
 
-// call performs a synchronous invocation through the mailbox, preserving
-// order with earlier asynchronous posts.
-func (a *actor) call(method string, args []any) (any, error) {
-	return a.callCtx(context.Background(), method, args)
-}
+// callWaiters recycles the rendezvous of synchronous mailbox callers.
+var callWaiters ctxwait.Pool[any]
 
-// callCtx is call bounded by ctx: if ctx ends before the mailbox reaches
-// the task, the caller unblocks with ctx.Err() (the task is skipped when
-// its turn comes; the reply channel is buffered, so nothing leaks).
+// callCtx performs a synchronous invocation through the mailbox,
+// preserving order with earlier asynchronous posts.
 func (a *actor) callCtx(ctx context.Context, method string, args []any) (any, error) {
-	reply := make(chan actorResult, 1)
-	if err := a.enqueue(actorTask{ctx: ctx, method: method, args: args, reply: reply}); err != nil {
+	return a.await(actorTask{ctx: ctx, method: method, args: args})
+}
+
+// await enqueues t and blocks for its outcome. If ctx ends before the
+// mailbox reaches the task, the caller unblocks with ctx.Err() and the
+// task is skipped when its turn comes.
+func (a *actor) await(t actorTask) (any, error) {
+	if t.ctx == nil {
+		t.ctx = context.Background()
+	}
+	w := callWaiters.Get()
+	t.done = w.Done
+	if err := a.enqueue(t); err != nil {
+		callWaiters.Put(w)
 		return nil, err
 	}
-	if ctx == nil || ctx.Done() == nil {
-		res := <-reply
-		return res.val, res.err
+	v, ok, err := w.Wait(t.ctx)
+	if ok {
+		callWaiters.Put(w)
 	}
-	select {
-	case res := <-reply:
-		return res.val, res.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return v, err
 }
 
 // post performs an asynchronous invocation; execution errors are reported
@@ -315,32 +317,11 @@ func (a *actor) callCtx(ctx context.Context, method string, args []any) (any, er
 // caller can re-route or record it without onErr double-reporting. A
 // non-nil ctx cancels the task if it is still queued when ctx ends.
 func (a *actor) post(ctx context.Context, method string, args []any, onErr func(error)) error {
-	reply := make(chan actorResult, 1)
-	if err := a.enqueue(actorTask{ctx: ctx, method: method, args: args, reply: reply}); err != nil {
-		return err
-	}
-	go func() {
-		if res := <-reply; res.err != nil && onErr != nil {
-			onErr(res.err)
-		}
-	}()
-	return nil
-}
-
-// postBatch enqueues an aggregate message.
-func (a *actor) postBatch(method string, calls []any, onErr func(error)) {
-	reply := make(chan actorResult, 1)
-	if err := a.enqueue(actorTask{method: method, batch: calls, reply: reply}); err != nil {
-		if onErr != nil {
+	return a.enqueue(actorTask{ctx: ctx, method: method, args: args, done: func(_ any, err error) {
+		if err != nil {
 			onErr(err)
 		}
-		return
-	}
-	go func() {
-		if res := <-reply; res.err != nil && onErr != nil {
-			onErr(res.err)
-		}
-	}()
+	}})
 }
 
 // wait blocks until the mailbox is drained.
@@ -385,24 +366,8 @@ func (e *actorEndpoint) Invoke1(ctx context.Context, method string, args []any) 
 // InvokeBatch replays an aggregate message through the mailbox as a single
 // task, so a batch executes atomically with respect to other calls.
 func (e *actorEndpoint) InvokeBatch(ctx context.Context, method string, calls []any) (int, error) {
-	reply := make(chan actorResult, 1)
-	if err := e.a.enqueue(actorTask{ctx: ctx, method: method, batch: calls, reply: reply}); err != nil {
+	if _, err := e.a.await(actorTask{ctx: ctx, method: method, batch: calls}); err != nil {
 		return 0, err
 	}
-	if ctx == nil || ctx.Done() == nil {
-		res := <-reply
-		if res.err != nil {
-			return 0, res.err
-		}
-		return len(calls), nil
-	}
-	select {
-	case res := <-reply:
-		if res.err != nil {
-			return 0, res.err
-		}
-		return len(calls), nil
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
+	return len(calls), nil
 }

@@ -20,10 +20,11 @@ type futureSub func(val any, err error, depth int)
 // Future is the handle of an asynchronous call with a result. It is a
 // completion-driven promise: the party that resolves it (the mux reader on
 // reply arrival, for remote calls) runs the registered continuations
-// directly — a pending future parks no goroutine, and ten thousand
-// outstanding calls cost ten thousand heap objects, not ten thousand
-// stacks. Waiting (Get) lazily materialises a done channel; chaining
-// (ThenAny / OnComplete) does not.
+// directly, except a local mailbox, which hands them to exec (see
+// Proxy.InvokeAsyncCtx). A pending future parks no goroutine, and ten
+// thousand outstanding calls cost ten thousand heap objects, not ten
+// thousand stacks. Waiting (Get) lazily materialises a done channel;
+// chaining (ThenAny / OnComplete) does not.
 type Future struct {
 	// exec runs continuations that overflowed the inline depth bound; nil
 	// means a fresh goroutine. Inherited by derived futures.
@@ -107,6 +108,17 @@ func (f *Future) subscribe(s futureSub) {
 	}
 	f.mu.Unlock()
 	f.runSub(s, 0)
+}
+
+// expireOn resolves f with ctx.Err() as soon as ctx ends, for a call that
+// waits behind others (in a mailbox, or on a proxy's ordered lane) and
+// whose own outcome may come much later. The returned stop detaches the
+// hook once that outcome arrives.
+func (f *Future) expireOn(ctx context.Context) (stop func() bool) {
+	if ctx.Done() == nil {
+		return func() bool { return false }
+	}
+	return context.AfterFunc(ctx, func() { f.complete(nil, ctx.Err()) })
 }
 
 // OnComplete registers fn to run with the future's outcome: immediately if

@@ -90,40 +90,13 @@ func newRemoteProxy(rt *Runtime, class, uri, addr string, gen uint64) *Proxy {
 	return p
 }
 
-// initSeq installs the ordered asynchronous lane. The sequencer invokes
-// through invokeRemote, so every queued call re-resolves the endpoint —
-// that is what keeps one proxy's post stream ordered across a migration.
+// initSeq installs the ordered asynchronous lane. The sequencer submits
+// through submitRemote, so every queued call resolves the endpoint afresh
+// and re-routes before the next one leaves — that is what keeps one
+// proxy's post stream ordered across a migration.
 func (p *Proxy) initSeq() {
-	p.seq = remoting.NewCallSequencerFunc(func(method string, args ...any) (any, error) {
-		return p.invokeRemote(context.Background(), method, args...)
-	})
+	p.seq = remoting.NewCallSequencerFunc(p.submitRemote)
 	p.seq.OnError = p.noteAsyncError
-	// The completion-path variant: queued calls chain head-to-tail on reply
-	// arrival instead of parking a flusher goroutine per drain. A false
-	// return (non-multiplexed channel, connection not yet usable, lane shut
-	// down) sends that call through the synchronous invoke above, which
-	// carries the full re-routing machinery.
-	p.seq.SetInvokeAsync(func(method string, args []any, cb func(any, error)) bool {
-		if p.rt.cfg.Channel.Kind() != remoting.Multiplexed {
-			return false
-		}
-		ctx := context.Background()
-		if p.rt.cfg.IdempotentCalls {
-			ctx = remoting.ContextWithToken(ctx, p.rt.cfg.Channel.NewCallToken())
-		}
-		err := p.endpoint().InvokeAsyncCb(ctx, method, args, func(v any, err error) {
-			if err != nil && p.asyncRecoverable(err) {
-				// Same transparent re-routing the synchronous lane gives a
-				// migrated or failed-over object, off the completion path.
-				// The next queued call is only submitted once cb runs, so
-				// the retry preserves per-proxy order.
-				go func() { cb(p.invokeVia(ctx, p.endpoint, method, args...)) }()
-				return
-			}
-			cb(v, err)
-		})
-		return err == nil
-	})
 }
 
 // Class returns the object's registered class name.
@@ -262,30 +235,38 @@ func movedOf(err error, uri string) (*errs.MovedError, bool) {
 // retries (ErrObjectMoved) carry no such risk: a tombstone rejects
 // without executing.
 func (p *Proxy) invokeVia(ctx context.Context, mkRef func() *remoting.ObjRef, method string, args ...any) (any, error) {
+	ctx = p.withToken(ctx)
+	ref := mkRef()
+	res, err := ref.InvokeCtx(ctx, method, args...)
+	return p.reroute(ctx, mkRef, ref, method, args, res, err)
+}
+
+// withToken stamps one idempotency token per logical call, at the
+// outermost scope, when the runtime asks for idempotent calls: every wire
+// attempt below — channel-level retries, forward chasing, the
+// post-failover re-resolve — carries it, so a host that already executed
+// the call replays its recorded reply.
+func (p *Proxy) withToken(ctx context.Context) context.Context {
 	if p.rt.cfg.IdempotentCalls {
 		if _, ok := remoting.TokenFromContext(ctx); !ok {
-			// One token per logical call, stamped at the outermost scope:
-			// every wire attempt below — channel-level retries, forward
-			// chasing, the post-failover re-resolve — carries it, so a host
-			// that already executed the call replays its recorded reply.
-			ctx = remoting.ContextWithToken(ctx, p.rt.cfg.Channel.NewCallToken())
+			return remoting.ContextWithToken(ctx, p.rt.cfg.Channel.NewCallToken())
 		}
 	}
+	return ctx
+}
+
+// reroute is invokeVia's re-routing loop, entered after the attempt
+// through ref returned (res, err). The asynchronous path enters it
+// directly with its own first attempt's failure.
+func (p *Proxy) reroute(ctx context.Context, mkRef func() *remoting.ObjRef, ref *remoting.ObjRef, method string, args []any, res any, err error) (any, error) {
 	var followedGen uint64
 	resolved := false
-	for {
-		ref := mkRef()
-		res, err := ref.InvokeCtx(ctx, method, args...)
-		if err == nil || ctx.Err() != nil {
-			return res, err
-		}
+	for err != nil && ctx.Err() == nil {
+		down := errors.Is(err, errs.ErrNodeDown)
 		if mv, ok := movedOf(err, p.uri); ok && mv.Gen > followedGen {
 			followedGen = mv.Gen
 			p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
-			continue
-		}
-		down := errors.Is(err, errs.ErrNodeDown)
-		if (down || errors.Is(err, errs.ErrObjectDestroyed)) && !resolved {
+		} else if (down || errors.Is(err, errs.ErrObjectDestroyed)) && !resolved {
 			resolved = true
 			if at := p.deadEndAt.Load(); !down && at != 0 && time.Since(time.Unix(0, at)) < deadEndTTL {
 				return nil, err
@@ -294,15 +275,20 @@ func (p *Proxy) invokeVia(ctx context.Context, mkRef func() *remoting.ObjRef, me
 			// older than what the proxy already routes at (redirect
 			// refuses it) would just re-dial the same dead endpoint for
 			// a second full timeout.
-			if loc, ok := p.rt.resolveRemote(ctx, p.uri, ref.NetAddr()); ok && (down || loc.Gen > p.currentGen()) && p.redirect(loc) {
-				continue
+			loc, ok := p.rt.resolveRemote(ctx, p.uri, ref.NetAddr())
+			if !ok || !(down || loc.Gen > p.currentGen()) || !p.redirect(loc) {
+				if !down {
+					p.deadEndAt.Store(time.Now().UnixNano())
+				}
+				return nil, err
 			}
-			if !down {
-				p.deadEndAt.Store(time.Now().UnixNano())
-			}
+		} else {
+			return nil, err
 		}
-		return nil, err
+		ref = mkRef()
+		res, err = ref.InvokeCtx(ctx, method, args...)
 	}
+	return res, err
 }
 
 // currentGen reads the generation the proxy currently routes at.
@@ -310,11 +296,6 @@ func (p *Proxy) currentGen() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.gen
-}
-
-// invokeRemote is invokeVia against the object's endpoint.
-func (p *Proxy) invokeRemote(ctx context.Context, rmethod string, args ...any) (any, error) {
-	return p.invokeVia(ctx, p.endpoint, rmethod, args...)
 }
 
 // noteAsyncError records the first asynchronous failure for AsyncErr.
@@ -377,7 +358,7 @@ func (p *Proxy) remoteInvokeOrdered(ctx context.Context, method string, args []a
 	if err := p.sequencer().FlushCtx(ctx); err != nil {
 		return nil, fmt.Errorf("core: flush before %s.%s: %w", p.class, method, err)
 	}
-	return p.invokeRemote(ctx, "Invoke1", method, args)
+	return p.invokeVia(ctx, p.endpoint, "Invoke1", method, args)
 }
 
 // InvokeAsync starts a synchronous-style call without blocking the caller
@@ -390,87 +371,117 @@ func (p *Proxy) InvokeAsync(method string, args ...any) *Future {
 // InvokeAsyncCtx is InvokeAsync bounded by ctx; the returned Future
 // resolves to ctx.Err() when ctx ends before the call completes.
 //
-// On a multiplexed remote proxy with an idle ordered lane this is the
-// completion fast path: encode, enqueue on the connection, return the
-// handle — the mux reader resolves the Future when the reply frame
-// arrives, and no goroutine parks per outstanding call. The fast path
-// falls back to a waiter goroutine only for the cases that need the full
-// synchronous machinery: local objects, pending aggregation or ordered
-// posts (the call must serialize behind them), non-multiplexed channels,
-// and post-failure re-routing.
+// The call is submitted once and resolves the Future through one
+// completion callback; no goroutine waits per outstanding call:
+//   - a remote call goes straight out on the channel's completion path
+//     when the ordered lane is idle, and queues on the lane behind pending
+//     posts otherwise; the channel resolves the Future when the reply
+//     arrives, and a migrated or failed-over object is re-routed exactly
+//     as InvokeCtx would;
+//   - a local call is resolved by the mailbox, with the Future's
+//     continuations handed to the runtime's continuation executor rather
+//     than run on the mailbox goroutine;
+//   - an agglomerated object runs the call inline, as Post does, and
+//     returns a resolved Future.
+//
+// Like Post, a local call blocks while the object is paused for a
+// migration.
 func (p *Proxy) InvokeAsyncCtx(ctx context.Context, method string, args ...any) *Future {
+	p.rt.stats.syncCalls.Add(1)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if f, ok := p.invokeAsyncFast(ctx, method, args); ok {
-		return f
-	}
 	f := &Future{exec: p.rt.contExec()}
-	go func() {
-		f.complete(p.InvokeCtx(ctx, method, args...))
-	}()
+	switch mode, act := p.state(); mode {
+	case modeAgglomerated:
+		w := &ioWrapper{rt: p.rt, class: p.class, obj: p.local}
+		f.complete(w.Invoke1(ctx, method, args))
+	case modeLocalActive:
+		p.invokeLocalAsync(ctx, act, method, args, f)
+	default:
+		p.invokeRemoteAsync(ctx, method, args, f)
+	}
 	return f
 }
 
-// invokeAsyncFast attempts the goroutine-free submission. It reports false
-// when the proxy's current state needs the ordinary path.
-func (p *Proxy) invokeAsyncFast(ctx context.Context, method string, args []any) (*Future, bool) {
-	mode, _ := p.state()
-	if mode != modeRemote || p.rt.cfg.Channel.Kind() != remoting.Multiplexed {
-		return nil, false
-	}
-	if p.rt.cfg.Aggregation.enabled() && p.hasAggregated() {
-		return nil, false
-	}
-	// Ordering: a synchronous-style call must run after every posted
-	// asynchronous call. With the lane idle there is nothing to order
-	// behind; Posts from this very goroutine are already counted in Idle,
-	// so the check is authoritative for the single-caller pattern.
-	if !p.sequencer().Idle() {
-		return nil, false
-	}
-	if p.rt.cfg.IdempotentCalls {
-		if _, ok := remoting.TokenFromContext(ctx); !ok {
-			ctx = remoting.ContextWithToken(ctx, p.rt.cfg.Channel.NewCallToken())
-		}
-	}
-	p.rt.stats.syncCalls.Add(1)
-	f := &Future{exec: p.rt.contExec()}
-	ref := p.endpoint()
-	err := ref.InvokeAsyncCb(ctx, "Invoke1", []any{method, args}, func(v any, err error) {
-		if err != nil && ctx.Err() == nil && p.asyncRecoverable(err) {
-			// Migration forward or node failure: hop off the completion
-			// path and re-run through the full re-routing retry loop.
+// invokeLocalAsync enqueues a call on the local mailbox, resolving f from
+// the task's completion callback.
+func (p *Proxy) invokeLocalAsync(ctx context.Context, act *actor, method string, args []any, f *Future) {
+	stop := f.expireOn(ctx)
+	err := act.enqueue(actorTask{ctx: ctx, method: method, args: args, done: func(v any, err error) {
+		stop()
+		if mv, ok := movedOf(err, p.uri); ok {
+			// Failed with the object's forward before it ran: re-route as
+			// InvokeCtx does, off the mailbox (or aborting) goroutine.
 			go func() {
-				f.complete(p.invokeVia(ctx, p.endpoint, "Invoke1", method, args))
+				p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
+				f.complete(p.remoteInvokeOrdered(ctx, method, args))
 			}()
 			return
 		}
-		f.complete(v, err)
-	})
-	if err != nil {
-		// Not submitted (callback will never run): let the slow path carry
-		// the call through connection setup and error handling.
-		return nil, false
+		// A continuation must not run on the mailbox goroutine: one that
+		// calls this object synchronously would wait on the mailbox it
+		// runs on. Resolving with the inline budget spent hands each one
+		// to the executor; Get waiters wake directly.
+		f.completeAt(v, err, maxInlineDepth)
+	}})
+	if err == nil {
+		return
 	}
-	return f, true
+	stop()
+	if mv, ok := movedOf(err, p.uri); ok {
+		p.redirect(ObjLoc{Node: mv.Node, Addr: mv.Addr, Gen: mv.Gen})
+		p.invokeRemoteAsync(ctx, method, args, f)
+		return
+	}
+	f.complete(nil, err)
 }
 
-// asyncRecoverable reports whether an async completion error is one the
-// synchronous path would transparently retry (re-route and re-invoke).
+// invokeRemoteAsync sends a call on the completion path, ordered after the
+// proxy's posted calls: straight out when the ordered lane is idle, queued
+// on it otherwise. Posts from this very goroutine are already counted in
+// Idle, so the check is authoritative for the single-caller pattern.
+func (p *Proxy) invokeRemoteAsync(ctx context.Context, method string, args []any, f *Future) {
+	if p.rt.cfg.Aggregation.enabled() {
+		p.FlushAggregation()
+	}
+	seq := p.sequencer()
+	if seq.Idle() {
+		p.submitRemote(ctx, "Invoke1", []any{method, args}, f.complete)
+		return
+	}
+	stop := f.expireOn(ctx)
+	seq.Submit(ctx, "Invoke1", []any{method, args}, func(v any, err error) {
+		stop()
+		f.complete(v, err)
+	})
+}
+
+// submitRemote is the one asynchronous remote call: it submits on the
+// channel's completion path and hands the outcome to done. A failure the
+// synchronous path recovers from transparently — a migration forward, a
+// dead node, a destroyed object with a fresher copy elsewhere — continues
+// through reroute, on a goroutine because done's caller is the completion
+// path.
+func (p *Proxy) submitRemote(ctx context.Context, method string, args []any, done func(any, error)) {
+	ctx = p.withToken(ctx)
+	ref := p.endpoint()
+	ref.InvokeAsyncCb(ctx, method, args, func(v any, err error) {
+		if err != nil && ctx.Err() == nil && p.asyncRecoverable(err) {
+			go func() { done(p.reroute(ctx, p.endpoint, ref, method, args, nil, err)) }()
+			return
+		}
+		done(v, err)
+	})
+}
+
+// asyncRecoverable reports whether reroute would act on an async
+// completion error (re-route and re-invoke).
 func (p *Proxy) asyncRecoverable(err error) bool {
 	if _, ok := movedOf(err, p.uri); ok {
 		return true
 	}
 	return errors.Is(err, errs.ErrNodeDown) || errors.Is(err, errs.ErrObjectDestroyed)
-}
-
-// hasAggregated reports whether posted calls are sitting in the
-// aggregation buffer (which a synchronous-style call must flush first).
-func (p *Proxy) hasAggregated() bool {
-	p.aggMu.Lock()
-	defer p.aggMu.Unlock()
-	return len(p.aggCalls) > 0 || p.aggMethod != ""
 }
 
 // Post performs an asynchronous method call with no result (the paper's

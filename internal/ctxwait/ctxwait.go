@@ -1,6 +1,8 @@
-// Package ctxwait provides the one shared shape for abandoning a blocking
-// drain when a context ends, used by the actor mailbox and the remoting
-// call sequencer.
+// Package ctxwait provides the shared shapes of waiting under a context:
+// abandoning a blocking drain when the context ends (Drain, used by the
+// actor mailbox and the remoting call sequencer), and the synchronous
+// caller's rendezvous with a call that completes through a callback
+// (Waiter, used by mailbox and multiplexed-lane calls).
 package ctxwait
 
 import "context"

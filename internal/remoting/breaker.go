@@ -23,6 +23,7 @@
 package remoting
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -149,6 +150,26 @@ func (bs *breakerSet) record(netaddr string, trial, connFailure bool) {
 		}
 	} else {
 		b.oks++
+	}
+}
+
+// settle feeds back the outcome err of one call that Channel.admit let
+// through to netaddr; a nil bs (no breaker applied) records nothing. Only
+// transport-level evidence moves the breaker: connection failures trip it,
+// anything the peer actually answered (including app errors) counts as
+// success. Context expiry is the caller's deadline, not the peer's fault,
+// and an orderly Close is not a failure either: such an ambiguous outcome
+// only releases a half-open trial slot without deciding.
+func (bs *breakerSet) settle(ctx context.Context, netaddr string, trial bool, err error) {
+	if bs == nil {
+		return
+	}
+	connFail := err != nil && ctx.Err() == nil &&
+		isConnFailure(err) && !errors.Is(err, errChannelClosed)
+	if connFail || err == nil || !isConnFailure(err) {
+		bs.record(netaddr, trial, connFail)
+	} else if trial {
+		bs.record(netaddr, true, true)
 	}
 }
 

@@ -73,11 +73,11 @@ type Channel struct {
 	// Cost injects endpoint software costs; see CostModel.
 	Cost CostModel
 
-	// MaxInFlight bounds concurrent exchanges per multiplexed lane;
-	// callers beyond the bound block until a slot frees. Zero selects
-	// DefaultMaxInFlight. Only the Multiplexed kind uses it. The bound is
-	// per lane: a channel with N lanes admits up to N×MaxInFlight
-	// concurrent exchanges per peer.
+	// MaxInFlight bounds concurrent exchanges per multiplexed lane; calls
+	// beyond the bound wait in the lane's admission queue until a slot
+	// frees. Zero selects DefaultMaxInFlight. Only the Multiplexed kind
+	// uses it. The bound is per lane: a channel with N lanes admits up to
+	// N×MaxInFlight concurrent exchanges per peer.
 	MaxInFlight int
 
 	// MuxLanes sets how many multiplexed connections (lanes) the channel
@@ -464,35 +464,70 @@ func (ch *Channel) roundTrip(ctx context.Context, netaddr string, req *callReque
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("remoting: call %s.%s: %w", req.URI, req.Method, err)
-	}
-	bs := ch.breakers()
-	if bs == nil || breakerBypassed(ctx) {
-		// A bypassed call records no evidence either: its outcome must not
-		// consume a half-open trial slot or re-trip a breaker it never
-		// consulted.
-		return ch.roundTripOnce(ctx, netaddr, req)
-	}
-	trial, berr := bs.allow(netaddr)
-	if berr != nil {
-		return nil, fmt.Errorf("remoting: call %s.%s: %w", req.URI, req.Method, berr)
+	bs, trial, err := ch.admit(ctx, netaddr, req)
+	if err != nil {
+		return nil, err
 	}
 	resp, err := ch.roundTripOnce(ctx, netaddr, req)
-	// Only transport-level evidence moves the breaker: connection failures
-	// trip it, anything the peer actually answered (including app errors)
-	// counts as success. Context expiry is the caller's deadline, not the
-	// peer's fault, and an orderly Close is not a failure either.
-	connFail := err != nil && ctx.Err() == nil &&
-		isConnFailure(err) && !errors.Is(err, errChannelClosed)
-	if connFail || err == nil || !isConnFailure(err) {
-		bs.record(netaddr, trial, connFail)
-	} else if trial {
-		// The trial's outcome was ambiguous (ctx expiry / orderly close):
-		// release the half-open slot without deciding.
-		bs.record(netaddr, true, true)
-	}
+	bs.settle(ctx, netaddr, trial, err)
 	return resp, err
+}
+
+// roundTripAsync is the completion-driven round trip: it submits one
+// exchange and returns without waiting, and cb receives the outcome
+// exactly once — unless roundTripAsync returns an error, in which case the
+// call was never submitted and cb will not run. On the multiplexed channel
+// the call queues for a lane slot and cb runs on the lane's reader
+// goroutine when the reply arrives; the one-call-per-connection kinds run
+// their blocking exchange (roundTrip, stale-connection retry included) on
+// one goroutine of their own, and cb runs there. A multiplexed call has no
+// stale-connection retry: one that dies with its lane reports the failure
+// to cb, and the caller's own retry or re-routing picks it up.
+func (ch *Channel) roundTripAsync(ctx context.Context, netaddr string, req *callRequest, cb func(*callResponse, error)) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if ch.kind != Multiplexed {
+		go func() { cb(ch.roundTrip(ctx, netaddr, req)) }()
+		return nil
+	}
+	bs, trial, err := ch.admit(ctx, netaddr, req)
+	if err != nil {
+		return err
+	}
+	done := cb
+	if bs != nil {
+		done = func(resp *callResponse, err error) {
+			bs.settle(ctx, netaddr, trial, err)
+			cb(resp, err)
+		}
+	}
+	if err := ch.muxSubmit(ctx, netaddr, req, done); err != nil {
+		bs.settle(ctx, netaddr, trial, err)
+		return err
+	}
+	return nil
+}
+
+// admit is the gate in front of every round trip: ctx must still be live,
+// and netaddr's circuit breaker must let the call through. bs is nil when
+// no breaker applies — none is armed, or ctx bypasses it (such a call
+// records no evidence either: its outcome must not consume a half-open
+// trial slot or re-trip a breaker it never consulted). Otherwise the
+// caller reports the outcome through bs.settle, with trial.
+func (ch *Channel) admit(ctx context.Context, netaddr string, req *callRequest) (bs *breakerSet, trial bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, false, fmt.Errorf("remoting: call %s.%s: %w", req.URI, req.Method, err)
+	}
+	bs = ch.breakers()
+	if bs == nil || breakerBypassed(ctx) {
+		return nil, false, nil
+	}
+	trial, err = bs.allow(netaddr)
+	if err != nil {
+		return nil, false, fmt.Errorf("remoting: call %s.%s: %w", req.URI, req.Method, err)
+	}
+	return bs, trial, nil
 }
 
 // roundTripOnce is one breaker-admitted round trip.

@@ -71,6 +71,21 @@ func (r *ObjRef) Invoke(method string, args ...any) (any, error) {
 // server that executed a lost-reply attempt replays the recorded reply
 // instead of executing again.
 func (r *ObjRef) InvokeCtx(ctx context.Context, method string, args ...any) (any, error) {
+	req := r.request(ctx, method, args)
+	if !r.retries(ctx) {
+		return r.invokeOnce(ctx, req)
+	}
+	start := time.Now()
+	result, err := r.invokeOnce(ctx, req)
+	if err == nil {
+		return result, nil
+	}
+	return r.retry(ctx, req, err, time.Since(start))
+}
+
+// request builds the envelope of one logical call, stamping ctx's deadline
+// and idempotency token.
+func (r *ObjRef) request(ctx context.Context, method string, args []any) *callRequest {
 	req := &callRequest{
 		URI:    r.uri,
 		Method: method,
@@ -83,31 +98,41 @@ func (r *ObjRef) InvokeCtx(ctx context.Context, method string, args ...any) (any
 	if tok, ok := TokenFromContext(ctx); ok {
 		req.TokClient, req.TokSeq = tok.Client, tok.Seq
 	}
+	return req
+}
+
+// retries reports whether calls under ctx run the RetryPolicy loop.
+func (r *ObjRef) retries(ctx context.Context) bool {
+	return r.ch.Retry.Enabled() && !retryDisabled(ctx)
+}
+
+// retry continues the RetryPolicy loop after req's first attempt failed
+// with err, having taken cost: it retries while the failure is Retryable
+// and the attempt cap and ctx's deadline budget allow.
+func (r *ObjRef) retry(ctx context.Context, req *callRequest, err error, cost time.Duration) (any, error) {
 	p := r.ch.Retry
-	if !p.Enabled() || retryDisabled(ctx) {
-		return r.invokeOnce(ctx, req)
-	}
 	for attempt := 0; ; attempt++ {
-		start := time.Now()
-		result, err := r.invokeOnce(ctx, req)
-		if err == nil {
-			return result, nil
-		}
 		if !Retryable(err) || attempt >= p.MaxAttempts-1 {
 			return nil, err
 		}
 		delay := p.retryDelay(err, attempt)
-		if !budgetAllows(ctx, delay, time.Since(start)) {
+		if !budgetAllows(ctx, delay, cost) {
 			return nil, err
 		}
 		if serr := sleepRetry(ctx, r.ch.closeSignal(), delay); serr != nil {
-			return nil, fmt.Errorf("remoting: call %s.%s: retry aborted: %w", r.uri, method, serr)
+			return nil, fmt.Errorf("remoting: call %s.%s: retry aborted: %w", r.uri, req.Method, serr)
 		}
 		// Fresh seq per attempt: the failed attempt may still complete
 		// server-side, and a reused number could be matched against its
 		// late reply. The idempotency token (if any) stays, making the
 		// retry deduplicable; the seq is per-exchange plumbing.
 		req.Seq = r.ch.nextSeq()
+		start := time.Now()
+		var result any
+		if result, err = r.invokeOnce(ctx, req); err == nil {
+			return result, nil
+		}
+		cost = time.Since(start)
 	}
 }
 
@@ -142,38 +167,35 @@ func (r *ObjRef) normalize(req *callRequest, resp *callResponse) (any, error) {
 	return nil, re
 }
 
-// InvokeAsyncCb starts one completion-driven invocation attempt: the
-// request is encoded and enqueued on the multiplexed channel and the
-// method returns immediately; cb receives the normalized outcome exactly
-// once, on the completion path (the lane's reader goroutine for replies).
-// An error return means the call was not submitted and cb will never run —
-// callers fall back to their goroutine-per-call path. Unlike InvokeCtx
-// there is no retry loop here: a single attempt, whose failure the caller
-// decides how to recover (the SCOOPP proxy re-runs transient failures
-// through the full synchronous re-routing machinery).
-func (r *ObjRef) InvokeAsyncCb(ctx context.Context, method string, args []any, cb func(any, error)) error {
+// InvokeAsyncCb is InvokeCtx on the completion path: it submits the call
+// and returns at once, and cb receives the normalized outcome exactly
+// once, never on the caller's stack — on the multiplexed lane's reader
+// goroutine for replies, on the exchange's goroutine for the other channel
+// kinds. A failure the RetryPolicy would retry continues InvokeCtx's retry
+// loop, within the same attempt budget, on a goroutine of its own.
+func (r *ObjRef) InvokeAsyncCb(ctx context.Context, method string, args []any, cb func(any, error)) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	req := &callRequest{
-		URI:    r.uri,
-		Method: method,
-		Seq:    r.ch.nextSeq(),
-		Args:   args,
+	req := r.request(ctx, method, args)
+	var start time.Time
+	if r.retries(ctx) {
+		start = time.Now()
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		req.Deadline = dl.UnixNano()
-	}
-	if tok, ok := TokenFromContext(ctx); ok {
-		req.TokClient, req.TokSeq = tok.Client, tok.Seq
-	}
-	return r.ch.roundTripAsync(ctx, r.netaddr, req, func(resp *callResponse, err error) {
-		if err != nil {
-			cb(nil, err)
+	done := func(resp *callResponse, err error) {
+		var v any
+		if err == nil {
+			v, err = r.normalize(req, resp)
+		}
+		if err != nil && !start.IsZero() && Retryable(err) {
+			go func() { cb(r.retry(ctx, req, err, time.Since(start))) }()
 			return
 		}
-		cb(r.normalize(req, resp))
-	})
+		cb(v, err)
+	}
+	if err := r.ch.roundTripAsync(ctx, r.netaddr, req, done); err != nil {
+		go done(nil, err)
+	}
 }
 
 // AsyncResult is the handle returned by BeginInvoke, the analogue of
@@ -270,125 +292,96 @@ func (d *Delegate) Invoke(args ...any) (any, error) {
 // CallSequencer serialises asynchronous calls issued through it while
 // letting the caller continue immediately — the ordering guarantee the
 // SCOOPP runtime needs for method streams between one proxy object and its
-// implementation object. Errors are delivered to the OnError callback.
-//
-// When an asynchronous invoker is installed (SetInvokeAsync), the lane is
-// completion-chained: call N+1 is submitted from call N's completion
-// callback, so an idle-or-draining lane parks no flusher goroutine. Calls
-// the asynchronous invoker declines (unsupported channel kind, lane just
-// failed) execute on a transient goroutine through the synchronous
-// invoker, preserving order — one outstanding call at a time either way.
+// implementation object. The lane is completion-chained: one call is
+// outstanding at a time, and call N+1 is submitted from call N's
+// completion callback, so a busy lane parks no goroutine. Errors of Posted
+// calls go to the OnError callback; a Submitted call's outcome goes to its
+// own callback.
 type CallSequencer struct {
-	invoke      func(method string, args ...any) (any, error)
-	invokeAsync func(method string, args []any, cb func(any, error)) bool
-	OnError     func(error)
+	submit  func(ctx context.Context, method string, args []any, cb func(any, error))
+	OnError func(error)
 
 	mu      sync.Mutex
 	queue   []queuedCall
 	running bool
 	idle    *sync.Cond
 	pending int
+	cur     func(any, error) // done of the call in flight
+	next    func(any, error) // completeOne, bound once
 }
 
 type queuedCall struct {
+	ctx    context.Context
 	method string
 	args   []any
+	done   func(any, error)
 }
 
 // NewCallSequencer returns a sequencer whose calls go through ref.
 func NewCallSequencer(ref *ObjRef) *CallSequencer {
-	return NewCallSequencerFunc(ref.Invoke)
+	return NewCallSequencerFunc(ref.InvokeAsyncCb)
 }
 
-// NewCallSequencerFunc returns a sequencer whose calls go through invoke.
-// Routing through a function rather than a fixed ObjRef lets the owner
-// re-resolve the endpoint between calls — the SCOOPP proxy uses this to
-// keep one ordered lane across an object migration.
-func NewCallSequencerFunc(invoke func(method string, args ...any) (any, error)) *CallSequencer {
-	cs := &CallSequencer{invoke: invoke}
+// NewCallSequencerFunc returns a sequencer whose calls go through submit,
+// which must start one call and hand its outcome to cb exactly once, never
+// on submit's own stack (ObjRef.InvokeAsyncCb's contract). Routing through
+// a function rather than a fixed ObjRef lets the owner re-resolve the
+// endpoint between calls — the SCOOPP proxy uses this to keep one ordered
+// lane across an object migration.
+func NewCallSequencerFunc(submit func(ctx context.Context, method string, args []any, cb func(any, error))) *CallSequencer {
+	cs := &CallSequencer{submit: submit}
 	cs.idle = sync.NewCond(&cs.mu)
+	cs.next = cs.completeOne
 	return cs
-}
-
-// SetInvokeAsync installs the completion-driven invoker. fn must either
-// submit the call and return true — in which case cb is invoked exactly
-// once, off the submitter's stack — or decline with false (cb unused), and
-// the sequencer falls back to the synchronous invoker for that call.
-// Install before the first Post; the hook is read without the lock.
-func (cs *CallSequencer) SetInvokeAsync(fn func(method string, args []any, cb func(any, error)) bool) {
-	cs.invokeAsync = fn
 }
 
 // Post enqueues an asynchronous call. Calls posted from one goroutine
 // execute remotely in post order.
 func (cs *CallSequencer) Post(method string, args ...any) {
+	cs.Submit(context.Background(), method, args, nil)
+}
+
+// Submit enqueues an asynchronous call whose outcome goes to done (nil
+// sends a failure to OnError, as for Post). The call is ordered after every
+// call posted or submitted before it, and runs under ctx.
+func (cs *CallSequencer) Submit(ctx context.Context, method string, args []any, done func(any, error)) {
 	cs.mu.Lock()
-	cs.queue = append(cs.queue, queuedCall{method: method, args: args})
+	cs.queue = append(cs.queue, queuedCall{ctx: ctx, method: method, args: args, done: done})
 	cs.pending++
 	start := !cs.running
-	if start {
-		cs.running = true
-	}
+	cs.running = true
 	cs.mu.Unlock()
 	if start {
-		// inline: Post must return immediately, so a call the async
-		// invoker declines is handed to a goroutine instead of executing
-		// on this stack.
-		cs.advance(true)
+		cs.advance()
 	}
 }
 
-// advance dispatches queued calls until the queue is empty or a call went
-// asynchronous (its completion callback will resume the chain). With
-// inline set the caller's stack must not block: a declined call runs on a
-// fresh goroutine, which then drains synchronously (inline=false) exactly
-// like the historical flusher.
-func (cs *CallSequencer) advance(inline bool) {
-	for {
-		cs.mu.Lock()
-		if len(cs.queue) == 0 {
-			cs.running = false
-			cs.idle.Broadcast()
-			cs.mu.Unlock()
-			return
-		}
-		call := cs.queue[0]
-		cs.queue[0] = queuedCall{}
-		cs.queue = cs.queue[1:]
+// advance submits the head of the queue; its completion resumes the chain.
+func (cs *CallSequencer) advance() {
+	cs.mu.Lock()
+	if len(cs.queue) == 0 {
+		cs.running = false
 		cs.mu.Unlock()
-
-		if ia := cs.invokeAsync; ia != nil && ia(call.method, call.args, cs.completeOne) {
-			return
-		}
-		if inline {
-			go cs.runSync(call)
-			return
-		}
-		_, err := cs.invoke(call.method, call.args...)
-		cs.finishOne(err)
+		return
 	}
+	call := cs.queue[0]
+	cs.queue[0] = queuedCall{}
+	cs.queue = cs.queue[1:]
+	cs.cur = call.done
+	cs.mu.Unlock()
+	cs.submit(call.ctx, call.method, call.args, cs.next)
 }
 
-// completeOne is the completion callback of an asynchronously submitted
-// call: account for it, then resume the chain. It runs on the completion
-// path (the mux reader), so the next dispatch must stay non-blocking —
-// advance(true) hands any synchronous fallback to a goroutine.
-func (cs *CallSequencer) completeOne(_ any, err error) {
-	cs.finishOne(err)
-	cs.advance(true)
-}
-
-// runSync executes one declined call through the synchronous invoker on
-// its own goroutine, then keeps draining there (blocking is fine now).
-func (cs *CallSequencer) runSync(call queuedCall) {
-	_, err := cs.invoke(call.method, call.args...)
-	cs.finishOne(err)
-	cs.advance(false)
-}
-
-// finishOne settles one completed call's bookkeeping.
-func (cs *CallSequencer) finishOne(err error) {
-	if err != nil && cs.OnError != nil {
+// completeOne is the completion callback of the call in flight: deliver
+// its outcome, settle the bookkeeping, then submit the next call.
+func (cs *CallSequencer) completeOne(v any, err error) {
+	cs.mu.Lock()
+	done := cs.cur
+	cs.cur = nil
+	cs.mu.Unlock()
+	if done != nil {
+		done(v, err)
+	} else if err != nil && cs.OnError != nil {
 		cs.OnError(err)
 	}
 	cs.mu.Lock()
@@ -397,6 +390,7 @@ func (cs *CallSequencer) finishOne(err error) {
 		cs.idle.Broadcast()
 	}
 	cs.mu.Unlock()
+	cs.advance()
 }
 
 // Idle reports whether the lane has nothing queued or in flight — the

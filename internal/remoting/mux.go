@@ -8,14 +8,16 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/ctxwait"
 	"repro/internal/errs"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 // DefaultMaxInFlight bounds concurrent exchanges per multiplexed lane when
-// Channel.MaxInFlight is zero. The bound is backpressure, not a queue:
-// callers beyond it block until a slot frees.
+// Channel.MaxInFlight is zero. The bound is backpressure: calls beyond it
+// wait in the lane's admission queue until a slot frees — a synchronous
+// caller parked on its call, a future costing no goroutine at all.
 const DefaultMaxInFlight = 1024
 
 // maxMuxLanes caps Channel.MuxLanes; past a few lanes per peer the wire is
@@ -38,47 +40,33 @@ func DefaultMuxLanes() int {
 // the cost of 16 small maps per lane.
 const inflightShards = 16
 
-// inflightShard is one stripe of a lane's seq → waiter table. closed flips
+// inflightShard is one stripe of a lane's seq → call table. closed flips
 // under mu when the lane fails, so a register racing the failure either
 // lands in the map (and is drained with an error) or observes closed —
 // never a silently dropped caller.
 type inflightShard struct {
 	mu     sync.Mutex
-	m      map[uint64]*muxWaiter
+	m      map[uint64]*muxCall
 	closed bool
 }
 
-// muxWaiter is one in-flight exchange's completion target. Synchronous
-// callers park on rc (capacity 1, never blocks the deliverer); asynchronous
-// calls carry cb, which the reader invokes directly on reply arrival — the
-// completion-driven path that makes a future cost no goroutine while it
-// waits. slot marks waiters whose in-flight slot is released by whoever
-// delivers (async calls return to their caller before the exchange ends, so
-// nobody else is around to release it); stop detaches the context.AfterFunc
-// cancellation hook once the outcome is decided.
-type muxWaiter struct {
-	rc   chan muxResult
-	cb   func(muxResult)
-	stop func() bool
-	slot bool
-}
-
-// deliver hands res to the waiter: detach the cancellation hook, return the
-// in-flight slot (waking queued async work) and then complete. The slot is
-// released before cb runs so a slow continuation cannot idle the pipe.
-func (w *muxWaiter) deliver(mc *muxConn, res muxResult) {
-	if w.stop != nil {
-		w.stop()
-	}
-	if w.slot {
-		<-mc.slots
-		mc.pump()
-	}
-	if w.rc != nil {
-		w.rc <- res
-		return
-	}
-	w.cb(res)
+// muxCall is one exchange on a multiplexed lane, from submission to
+// completion; synchronous and asynchronous calls share it. The call waits
+// in the admission queue until pump gives it an in-flight slot, then sits
+// in the in-flight table until the reader hands the matching reply to cb,
+// the one completion callback — a future's resolver, or the Done of a
+// synchronous caller's waiter. claimed flips once the call leaves the
+// queue (admitted by pump, withdrawn by abandon, or failed with its lane),
+// so exactly one of them owns it. stop detaches the context.AfterFunc hook
+// that abandons an asynchronous call when its ctx ends; a synchronous
+// caller watches its ctx itself and arms none.
+type muxCall struct {
+	req     *callRequest
+	of      outFrame
+	ctx     context.Context
+	cb      func(*callResponse, error)
+	stop    func() bool
+	claimed atomic.Bool
 }
 
 // bindShardCount stripes the client bind table by (URI, Method) hash.
@@ -128,22 +116,23 @@ type muxConn struct {
 	done    chan struct{} // closed by fail
 	ready   chan struct{} // closed once the dial settled (conn or dialErr)
 
-	// Outbound frame queue. Unbounded by design: every queued frame either
-	// belongs to a caller holding an in-flight slot or to a sync caller
-	// blocked in call(), so MaxInFlight already bounds it — and an enqueue
-	// that could block would let TCP backpressure from a slow peer stall
-	// the reader (which enqueues indirectly through pump), the classic
-	// distributed buffer deadlock. outSig (capacity 1) wakes the writer.
+	// Outbound frame queue. Unbounded by design: every queued frame
+	// belongs to a call holding an in-flight slot, so MaxInFlight already
+	// bounds it — and an enqueue that could block would let TCP
+	// backpressure from a slow peer stall the reader (which enqueues
+	// indirectly through pump), the classic distributed buffer deadlock.
+	// outSig (capacity 1) wakes the writer.
 	outMu  sync.Mutex
 	outQ   []outFrame
 	outSig chan struct{}
 
-	// Async admission queue: completion-driven calls beyond MaxInFlight
-	// wait here (instead of parking a goroutine on slots) until pump moves
-	// them into the in-flight table. Unbounded — the futures are the queue.
-	asyncMu     sync.Mutex
-	asyncQ      []*asyncPending
-	asyncClosed bool
+	// Admission queue: every call waits here until pump moves it into the
+	// in-flight table. Unbounded — a future's call holds no goroutine, and
+	// a synchronous caller parks on its own call, so the callers are the
+	// queue.
+	admitMu     sync.Mutex
+	admitQ      []*muxCall
+	admitClosed bool
 
 	mu      sync.Mutex
 	conn    transport.Conn // set by dial; nil when the dial failed
@@ -256,11 +245,6 @@ func (mc *muxConn) encodeRequest(req *callRequest) (raw []byte, enc *wire.Encode
 	return mc.ch.encodeRequest(req)
 }
 
-type muxResult struct {
-	resp *callResponse
-	err  error
-}
-
 // outFrame is one queued request frame. enc, when non-nil, is the pooled
 // encoder whose buffer raw aliases: whoever consumes the frame (normally
 // the writer goroutine, after the bytes hit the wire) releases it. Frames
@@ -312,7 +296,7 @@ func (ch *Channel) getMux(netaddr string, lane int) (mc *muxConn, fresh bool, er
 				ready:   make(chan struct{}),
 			}
 			for i := range mc.inflight {
-				mc.inflight[i].m = make(map[uint64]*muxWaiter)
+				mc.inflight[i].m = make(map[uint64]*muxCall)
 			}
 			if ch.muxPeers == nil {
 				ch.muxPeers = make(map[muxKey]*muxConn)
@@ -425,35 +409,35 @@ func (ch *Channel) muxRoundTrip(ctx context.Context, netaddr string, req *callRe
 	return mc2.call(ctx, req, outFrame{raw: raw2, enc: enc2})
 }
 
-// register adds a waiter to the lane's in-flight table, refusing when the
+// register adds a call to the lane's in-flight table, refusing when the
 // lane already failed (the per-shard closed flag makes the race with fail
 // safe: an entry either lands before the drain and is errored there, or
 // the register observes closed).
-func (mc *muxConn) register(seq uint64, w *muxWaiter) error {
+func (mc *muxConn) register(seq uint64, c *muxCall) error {
 	sh := &mc.inflight[seq&(inflightShards-1)]
 	sh.mu.Lock()
 	if sh.closed {
 		sh.mu.Unlock()
 		return mc.failureErr()
 	}
-	sh.m[seq] = w
+	sh.m[seq] = c
 	sh.mu.Unlock()
 	return nil
 }
 
-// take removes and returns the waiter registered under seq, nil when the
-// call was abandoned (or the lane failed). Exactly one of the reader, the
-// cancellation hook and fail takes any given waiter, so the outcome is
-// delivered exactly once.
-func (mc *muxConn) take(seq uint64) *muxWaiter {
+// take removes and returns the call registered under seq, nil when the
+// call was abandoned (or the lane failed). Exactly one of the reader,
+// abandon and fail takes any given call, so the outcome is delivered
+// exactly once.
+func (mc *muxConn) take(seq uint64) *muxCall {
 	sh := &mc.inflight[seq&(inflightShards-1)]
 	sh.mu.Lock()
-	w := sh.m[seq]
-	if w != nil {
+	c := sh.m[seq]
+	if c != nil {
 		delete(sh.m, seq)
 	}
 	sh.mu.Unlock()
-	return w
+	return c
 }
 
 // enqueueFrame appends of to the outbound queue and wakes the writer.
@@ -469,43 +453,30 @@ func (mc *muxConn) enqueueFrame(of outFrame) {
 	}
 }
 
-// call runs one synchronous exchange: acquire an in-flight slot, register
-// the sequence number, hand the frame to the writer and wait for the
-// reader to deliver the matching response (or for the lane to fail, or ctx
-// to end). call owns of: it either hands it to the writer or releases it
-// itself.
+// syncWaiters recycles the rendezvous of synchronous callers (see call).
+var syncWaiters ctxwait.Pool[*callResponse]
+
+// call runs one synchronous exchange: submit it through the admission
+// queue like any other call, then wait for its callback or for ctx to end.
+// A caller whose ctx ends abandons the call — the lane stays up for the
+// other callers, a call still queued never reaches the wire, and the
+// reader drops an admitted call's late reply. call owns of.
 func (mc *muxConn) call(ctx context.Context, req *callRequest, of outFrame) (*callResponse, error) {
-	select {
-	case mc.slots <- struct{}{}:
-	case <-mc.done:
-		of.release()
-		return nil, mc.callErr(req, mc.failureErr())
-	case <-ctx.Done():
-		of.release()
-		return nil, mc.callErr(req, ctx.Err())
+	w := syncWaiters.Get()
+	c := &muxCall{req: req, of: of, ctx: ctx, cb: w.Done}
+	if err := mc.submit(c, false); err != nil {
+		syncWaiters.Put(w)
+		return nil, err
 	}
-	defer func() {
-		<-mc.slots
-		// A freed slot may admit queued async work.
-		mc.pump()
-	}()
-
-	rc := make(chan muxResult, 1)
-	if err := mc.register(req.Seq, &muxWaiter{rc: rc}); err != nil {
-		of.release()
-		return nil, mc.callErr(req, err)
+	resp, ok, err := w.Wait(ctx)
+	if ok {
+		syncWaiters.Put(w)
+		return resp, err
 	}
-	mc.enqueueFrame(of)
-
-	select {
-	case res := <-rc:
-		return res.resp, res.err
-	case <-ctx.Done():
-		// Abandon, do not kill: the lane stays up for the other callers
-		// and the reader drops this call's late response.
-		mc.take(req.Seq)
-		return nil, mc.callErr(req, ctx.Err())
+	if mc.abandon(c) {
+		syncWaiters.Put(w) // cb will never run
 	}
+	return nil, mc.callErr(req, err)
 }
 
 // callErr annotates a connection- or context-level failure with the call it
@@ -638,13 +609,13 @@ func (mc *muxConn) reader() {
 			mc.fail(err)
 			return
 		}
-		if w := mc.take(resp.Seq); w != nil {
-			// Async waiters complete inline here: continuations run on the
-			// reader goroutine (bounded, overflowing to the pool at the
+		if c := mc.take(resp.Seq); c != nil {
+			// Calls complete inline here: a future's continuations run on
+			// the reader goroutine (bounded, overflowing to the pool at the
 			// future layer), which is what makes a resolved future cost no
 			// parked goroutine. They must not block; see the README's
 			// inline-continuation guidance.
-			w.deliver(mc, muxResult{resp: resp})
+			mc.finish(c, resp)
 		}
 	}
 }
@@ -676,29 +647,30 @@ func (mc *muxConn) fail(err error) {
 		pending := sh.m
 		sh.m = nil
 		sh.mu.Unlock()
-		for _, w := range pending {
-			if w.stop != nil {
-				w.stop()
+		for _, c := range pending {
+			// No slot bookkeeping post-mortem: the lane is gone. Callbacks
+			// run iteratively here; a continuation that resubmits finds
+			// this lane gone from the channel's peer table, so the drain
+			// cannot recurse into it.
+			if c.stop != nil {
+				c.stop()
 			}
-			// No slot bookkeeping post-mortem: done is closed, so nothing
-			// waits on slots anymore. Callbacks run iteratively here; a
-			// continuation that resubmits observes asyncClosed and fails
-			// synchronously, so the drain cannot recurse.
-			if w.rc != nil {
-				w.rc <- muxResult{err: err}
-			} else {
-				w.cb(muxResult{err: err})
-			}
+			c.cb(nil, mc.callErr(c.req, err))
 		}
 	}
-	mc.asyncMu.Lock()
-	mc.asyncClosed = true
-	q := mc.asyncQ
-	mc.asyncQ = nil
-	mc.asyncMu.Unlock()
-	for _, ap := range q {
-		ap.of.release()
-		ap.cb(nil, mc.callErr(ap.req, err))
+	mc.admitMu.Lock()
+	mc.admitClosed = true
+	q := mc.admitQ
+	mc.admitQ = nil
+	mc.admitMu.Unlock()
+	for _, c := range q {
+		if c.claimed.CompareAndSwap(false, true) {
+			c.of.release()
+			if c.stop != nil {
+				c.stop()
+			}
+			c.cb(nil, mc.callErr(c.req, err))
+		}
 	}
 }
 
@@ -708,42 +680,51 @@ func (mc *muxConn) shutdown() {
 	mc.fail(fmt.Errorf("remoting: %w", errChannelClosed))
 }
 
-// asyncPending is one completion-driven call waiting for an in-flight
-// slot: the frame is already encoded (submission is encode + enqueue), and
-// cb receives the outcome exactly once unless submitAsync itself errored.
-type asyncPending struct {
-	req *callRequest
-	of  outFrame
-	ctx context.Context
-	cb  func(*callResponse, error)
-}
-
-// submitAsync queues one completion-driven exchange. It never blocks: the
-// call either enters the in-flight table immediately (a slot was free) or
-// waits in asyncQ until pump admits it. An error return means the call was
-// not submitted and cb will never run — the invariant callers rely on to
-// fall back to the synchronous path. cb runs on the lane's reader
-// goroutine (or a cancellation/failure path), never on the submitter's
-// stack.
-func (mc *muxConn) submitAsync(ctx context.Context, req *callRequest, of outFrame, cb func(*callResponse, error)) error {
-	ap := &asyncPending{req: req, of: of, ctx: ctx, cb: cb}
-	mc.asyncMu.Lock()
-	if mc.asyncClosed {
-		mc.asyncMu.Unlock()
-		of.release()
-		return mc.callErr(req, mc.failureErr())
+// submit queues c for admission and returns without waiting for a slot.
+// An error return means c was not submitted and its cb will never run.
+// With watch set and a cancellable ctx, a hook abandons c when ctx ends
+// and hands cb the ctx error, queued or in flight alike.
+func (mc *muxConn) submit(c *muxCall, watch bool) error {
+	mc.admitMu.Lock()
+	if mc.admitClosed {
+		mc.admitMu.Unlock()
+		c.of.release()
+		return mc.callErr(c.req, mc.failureErr())
 	}
-	mc.asyncQ = append(mc.asyncQ, ap)
-	mc.asyncMu.Unlock()
+	if watch && c.ctx.Done() != nil {
+		// Armed before c is published, so every reader of c.stop sees it.
+		c.stop = context.AfterFunc(c.ctx, func() {
+			if mc.abandon(c) {
+				c.cb(nil, mc.callErr(c.req, c.ctx.Err()))
+			}
+		})
+	}
+	mc.admitQ = append(mc.admitQ, c)
+	mc.admitMu.Unlock()
 	mc.pump()
 	return nil
 }
 
-// pump moves queued async calls into the in-flight table for as long as
-// slots are free, without ever blocking — it runs on submitters, on the
-// reader (after every released slot) and on sync callers' slot release
-// alike. Failure deliveries hop to a goroutine so a dead lane draining a
-// deep queue cannot recurse through completion callbacks that resubmit.
+// abandon withdraws c after its ctx ended: a queued call is claimed so
+// pump drops it unsent, an admitted one leaves the in-flight table and
+// returns its slot. It reports whether it withdrew c; false means c's
+// outcome is already being delivered (or c is between admission and
+// registration, and completes normally).
+func (mc *muxConn) abandon(c *muxCall) bool {
+	if c.claimed.CompareAndSwap(false, true) {
+		return true
+	}
+	if mc.take(c.req.Seq) == nil {
+		return false
+	}
+	<-mc.slots
+	mc.pump()
+	return true
+}
+
+// pump moves queued calls into the in-flight table for as long as slots
+// are free, without ever blocking — it runs on submitters and on the
+// reader after every released slot.
 func (mc *muxConn) pump() {
 	for {
 		select {
@@ -751,61 +732,58 @@ func (mc *muxConn) pump() {
 		default:
 			return
 		}
-		mc.asyncMu.Lock()
-		if len(mc.asyncQ) == 0 || mc.asyncClosed {
-			mc.asyncMu.Unlock()
+		var c *muxCall
+		mc.admitMu.Lock()
+		for c == nil && len(mc.admitQ) > 0 && !mc.admitClosed {
+			c = mc.admitQ[0]
+			mc.admitQ[0] = nil
+			mc.admitQ = mc.admitQ[1:]
+			if !c.claimed.CompareAndSwap(false, true) {
+				c.of.release() // abandoned while queued
+				c = nil
+			}
+		}
+		mc.admitMu.Unlock()
+		if c == nil {
 			<-mc.slots
 			return
 		}
-		ap := mc.asyncQ[0]
-		mc.asyncQ[0] = nil
-		mc.asyncQ = mc.asyncQ[1:]
-		mc.asyncMu.Unlock()
-		mc.startAsync(ap)
+		mc.start(c)
 	}
 }
 
-// startAsync registers one admitted async call (its slot is already held)
-// and hands its frame to the writer. Error outcomes are delivered on a
-// fresh goroutine: pump may be running on the submitter's or the reader's
-// stack, and a callback chain that posts follow-up calls must not recurse
-// into pump.
-func (mc *muxConn) startAsync(ap *asyncPending) {
-	fail := func(err error) {
+// start registers one admitted call (its slot is already held) and hands
+// its frame to the writer. A call that cannot start is failed on a fresh
+// goroutine: pump may be running on a submitter's or the reader's stack,
+// and a callback chain that submits follow-up calls must not recurse into
+// pump.
+func (mc *muxConn) start(c *muxCall) {
+	err := c.ctx.Err()
+	if err == nil {
+		err = mc.register(c.req.Seq, c)
+	}
+	if err != nil {
 		<-mc.slots
-		ap.of.release()
-		go ap.cb(nil, mc.callErr(ap.req, err))
-	}
-	if err := ap.ctx.Err(); err != nil {
-		fail(err)
+		c.of.release()
+		if c.stop != nil {
+			c.stop()
+		}
+		go c.cb(nil, mc.callErr(c.req, err))
 		return
 	}
-	w := &muxWaiter{slot: true, cb: func(res muxResult) {
-		if res.err != nil {
-			res.err = mc.callErr(ap.req, res.err)
-		}
-		ap.cb(res.resp, res.err)
-	}}
-	if ap.ctx.Done() != nil {
-		seq := ap.req.Seq
-		w.stop = context.AfterFunc(ap.ctx, func() {
-			// Abandon, exactly like a sync caller whose ctx ended: the lane
-			// stays up, the late reply is dropped by the reader.
-			if aw := mc.take(seq); aw != nil {
-				<-mc.slots
-				mc.pump()
-				aw.cb(muxResult{err: ap.ctx.Err()})
-			}
-		})
+	mc.enqueueFrame(c.of)
+}
+
+// finish completes an admitted call with its reply: detach the ctx hook,
+// return the in-flight slot (admitting queued work) and run cb. The slot
+// goes back before cb runs so a slow continuation cannot idle the pipe.
+func (mc *muxConn) finish(c *muxCall, resp *callResponse) {
+	if c.stop != nil {
+		c.stop()
 	}
-	if err := mc.register(ap.req.Seq, w); err != nil {
-		if w.stop != nil {
-			w.stop()
-		}
-		fail(err)
-		return
-	}
-	mc.enqueueFrame(ap.of)
+	<-mc.slots
+	mc.pump()
+	c.cb(resp, nil)
 }
 
 // laneForURI stripes completion-driven calls by destination object rather
@@ -825,62 +803,6 @@ func (ch *Channel) laneForURI(uri string) int {
 	return int(h % uint32(n))
 }
 
-// roundTripAsync submits one exchange on the multiplexed channel and
-// returns without waiting: cb receives the outcome — on the lane's reader
-// goroutine for replies — exactly once, unless roundTripAsync itself
-// returns an error, in which case the call was never submitted and cb will
-// not run. Only the multiplexed kind completes asynchronously; other kinds
-// report errAsyncUnsupported and the caller keeps its goroutine-per-call
-// path. There is no stale-connection retry here: an enqueued call that
-// dies with its lane reports the failure to cb, and the caller's fallback
-// (which re-resolves and retries through the synchronous machinery) picks
-// it up.
-//
-// Breaker accounting mirrors roundTrip exactly, moved into the callback:
-// evidence is recorded when the outcome is known, once per submission.
-func (ch *Channel) roundTripAsync(ctx context.Context, netaddr string, req *callRequest, cb func(*callResponse, error)) error {
-	if ch.kind != Multiplexed {
-		return errAsyncUnsupported
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("remoting: call %s.%s: %w", req.URI, req.Method, err)
-	}
-	bs := ch.breakers()
-	if bs == nil || breakerBypassed(ctx) {
-		return ch.muxSubmit(ctx, netaddr, req, cb)
-	}
-	trial, berr := bs.allow(netaddr)
-	if berr != nil {
-		return fmt.Errorf("remoting: call %s.%s: %w", req.URI, req.Method, berr)
-	}
-	record := func(err error) {
-		connFail := err != nil && ctx.Err() == nil &&
-			isConnFailure(err) && !errors.Is(err, errChannelClosed)
-		if connFail || err == nil || !isConnFailure(err) {
-			bs.record(netaddr, trial, connFail)
-		} else if trial {
-			bs.record(netaddr, true, true)
-		}
-	}
-	err := ch.muxSubmit(ctx, netaddr, req, func(resp *callResponse, err error) {
-		record(err)
-		cb(resp, err)
-	})
-	if err != nil {
-		// Submission failed synchronously (dial, encode, closed lane): the
-		// wrapped cb never runs, so settle the breaker evidence here.
-		record(err)
-	}
-	return err
-}
-
-// errAsyncUnsupported reports a channel kind without a completion path;
-// callers fall back to a waiter goroutine.
-var errAsyncUnsupported = errors.New("remoting: channel kind does not support asynchronous completion")
-
 // muxSubmit is the mux half of roundTripAsync: resolve the destination
 // lane, encode against its bind table and hand the frame to the lane's
 // admission queue.
@@ -893,5 +815,5 @@ func (ch *Channel) muxSubmit(ctx context.Context, netaddr string, req *callReque
 	if err != nil {
 		return err
 	}
-	return mc.submitAsync(ctx, req, outFrame{raw: raw, enc: enc}, cb)
+	return mc.submit(&muxCall{req: req, of: outFrame{raw: raw, enc: enc}, ctx: ctx, cb: cb}, true)
 }

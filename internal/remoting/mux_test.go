@@ -30,6 +30,7 @@ func (n *countingNetwork) Dial(addr string) (transport.Conn, error) {
 type gateService struct {
 	started chan struct{}
 	gate    chan struct{}
+	pings   atomic.Int64
 }
 
 func newGateService() *gateService {
@@ -47,7 +48,10 @@ func (g *gateService) Open() string {
 	return "opened"
 }
 
-func (g *gateService) Ping() string { return "pong" }
+func (g *gateService) Ping() string {
+	g.pings.Add(1)
+	return "pong"
+}
 
 func newMuxServer(t *testing.T, opts ...ServerOption) (*Channel, *Server, *countingNetwork) {
 	t.Helper()
@@ -184,6 +188,63 @@ func TestMultiplexedCancellationAbandonsCall(t *testing.T) {
 	}
 	if d := net.dials.Load(); d != 1 {
 		t.Errorf("dials = %d, want 1: cancellation must not kill the connection", d)
+	}
+}
+
+// TestMultiplexedCancelWhileWaitingForSlot ends the ctx of calls still
+// queued for the lane's only in-flight slot: a synchronous call and a
+// completion-driven one must both report the ctx error promptly, and
+// neither frame may ever reach the server.
+func TestMultiplexedCancelWhileWaitingForSlot(t *testing.T) {
+	ch, srv, _ := newMuxServer(t)
+	ch.MuxLanes = 1
+	ch.MaxInFlight = 1
+	g := newGateService()
+	srv.RegisterWellKnown("g", Singleton, func() any { return g })
+	ref, _ := GetObject(ch, srv.URLFor("g"))
+
+	held := make(chan error, 1)
+	go func() {
+		_, err := ref.Invoke("WaitGate")
+		held <- err
+	}()
+	select {
+	case <-g.started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitGate never started")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	async := make(chan error, 1)
+	ref.InvokeAsyncCb(ctx, "Ping", nil, func(_ any, err error) { async <- err })
+	start := time.Now()
+	if _, err := ref.InvokeCtx(ctx, "Ping"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("sync call: err = %v, want deadline exceeded", err)
+	}
+	select {
+	case err := <-async:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("async call: err = %v, want deadline exceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("async call never completed")
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Errorf("cancelled calls returned after %v, want promptly", el)
+	}
+
+	g.Open() // server-side: the held call occupies the only slot
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	// One slot: had either cancelled Ping been sent, its reply would have
+	// freed the slot before this one could go out.
+	if _, err := ref.Invoke("Ping"); err != nil {
+		t.Fatal(err)
+	}
+	if n := g.pings.Load(); n != 1 {
+		t.Errorf("server ran Ping %d times, want 1: a cancelled queued call reached the wire", n)
 	}
 }
 

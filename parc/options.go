@@ -77,9 +77,10 @@ func WithChannel(k ChannelKind) Option { return func(o *options) { o.channel = k
 func WithCost(m CostModel) Option { return func(o *options) { o.cost = m } }
 
 // WithMaxInFlight bounds the number of concurrent in-flight calls per peer
-// connection on the MultiplexedChannel; callers beyond the bound block
-// until a slot frees (backpressure). 0 (the default) selects the channel's
-// built-in default. Other channel kinds ignore it.
+// connection on the MultiplexedChannel; calls beyond the bound wait in the
+// connection's admission queue until a slot frees (backpressure). 0 (the
+// default) selects the channel's built-in default. Other channel kinds
+// ignore it.
 func WithMaxInFlight(n int) Option { return func(o *options) { o.maxInFlight = n } }
 
 // WithMuxLanes sets how many multiplexed connections (lanes) the
