@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/ctxwait"
+	"repro/internal/dispatch"
 	"repro/internal/errs"
 )
 
@@ -370,4 +371,66 @@ func (e *actorEndpoint) InvokeBatch(ctx context.Context, method string, calls []
 		return 0, err
 	}
 	return len(calls), nil
+}
+
+// endpoint is what the remoting server calls on a hosted object: the actor
+// endpoint, the IO wrapper of an object served without an actor, and the
+// tombstone a migration leaves behind.
+type endpoint interface {
+	Invoke1(ctx context.Context, method string, args []any) (any, error)
+	InvokeBatch(ctx context.Context, method string, calls []any) (int, error)
+}
+
+// The endpoints get typed invoker thunks so the server's per-request
+// goroutine reaches the mailbox without reflect.Value.Call, whose frame
+// setup would grow that fresh goroutine's stack on every request.
+func init() {
+	registerEndpoint[*actorEndpoint]()
+	registerEndpoint[*ioWrapper]()
+	registerEndpoint[*tombstone]()
+}
+
+func registerEndpoint[E endpoint]() {
+	var sample E
+	dispatch.RegisterInvokers(sample, map[string]dispatch.Invoker{
+		"Invoke1": func(ctx context.Context, obj any, args []any) (any, error) {
+			method, margs, err := endpointArgs(obj, "Invoke1", args)
+			if err != nil {
+				return nil, err
+			}
+			v, err := obj.(E).Invoke1(ctx, method, margs)
+			if err != nil {
+				return nil, err
+			}
+			return v, nil
+		},
+		"InvokeBatch": func(ctx context.Context, obj any, args []any) (any, error) {
+			method, calls, err := endpointArgs(obj, "InvokeBatch", args)
+			if err != nil {
+				return nil, err
+			}
+			n, err := obj.(E).InvokeBatch(ctx, method, calls)
+			if err != nil {
+				return nil, err
+			}
+			return n, nil
+		},
+	})
+}
+
+// endpointArgs binds the (method string, args []any) wire arguments both
+// endpoint methods take.
+func endpointArgs(obj any, name string, args []any) (string, []any, error) {
+	if len(args) != 2 {
+		return "", nil, dispatch.BadArity(obj, name, len(args), 2)
+	}
+	method, err := dispatch.Arg[string](args, 0)
+	if err != nil {
+		return "", nil, dispatch.BadArg(obj, name, 0, err)
+	}
+	rest, err := dispatch.Arg[[]any](args, 1)
+	if err != nil {
+		return "", nil, dispatch.BadArg(obj, name, 1, err)
+	}
+	return method, rest, nil
 }

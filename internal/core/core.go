@@ -1181,13 +1181,17 @@ func (w *ioWrapper) InvokeBatch(ctx context.Context, method string, calls []any)
 	if w.fenced.Load() {
 		return 0, errFenced(w.uri)
 	}
+	inv, err := dispatch.Resolve(w.obj, method)
+	if err != nil {
+		return 0, err
+	}
 	start := time.Now()
 	for i, c := range calls {
 		args, ok := c.([]any)
 		if !ok {
 			return i, fmt.Errorf("core: batch element %d is %T, want argument list", i, c)
 		}
-		if _, err := dispatch.InvokeCtx(ctx, w.obj, method, args); err != nil {
+		if _, err := inv(ctx, w.obj, args); err != nil {
 			return i, err
 		}
 	}

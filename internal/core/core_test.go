@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/dispatch"
+	"repro/internal/errs"
 	"repro/internal/remoting"
 	"repro/internal/transport"
 )
@@ -531,5 +534,30 @@ func TestActorSequentialExecution(t *testing.T) {
 	}
 	if got != 400 {
 		t.Errorf("Total = %v, want 400", got)
+	}
+}
+
+// The server calls its hosted endpoints on a fresh goroutine per request:
+// they must dispatch through typed thunks, never through reflection.
+func TestEndpointsHaveInvokerThunks(t *testing.T) {
+	for _, ep := range []endpoint{&actorEndpoint{}, &ioWrapper{}, &tombstone{}} {
+		for _, m := range []string{"Invoke1", "InvokeBatch"} {
+			if !dispatch.HasInvoker(ep, m) {
+				t.Errorf("%T.%s has no registered invoker thunk", ep, m)
+			}
+		}
+	}
+}
+
+// The endpoint thunks bind (method, args) like the reflective path did:
+// arity is checked, and an endpoint's error drops its result.
+func TestEndpointThunkBinding(t *testing.T) {
+	if _, err := dispatch.Invoke(&actorEndpoint{}, "Invoke1", []any{"Add"}); err == nil {
+		t.Error("Invoke1 with one argument: want an arity error")
+	}
+	mv := errs.MovedError{URI: "u"}
+	n, err := dispatch.Invoke(&tombstone{mv: mv}, "InvokeBatch", []any{"Add", []any{[]any{1}}})
+	if !errors.Is(err, errs.ErrObjectMoved) || n != nil {
+		t.Errorf("tombstone InvokeBatch = %v, %v; want nil and the forward", n, err)
 	}
 }

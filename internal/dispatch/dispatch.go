@@ -38,62 +38,111 @@ func Invoke(obj any, method string, args []any) (any, error) {
 // is mapped onto the returned error; a single non-error result is returned
 // as the value.
 //
-// When a generated invoker thunk is registered for the object's concrete
-// type (see RegisterInvokers), it is used instead of the reflective path:
-// argument binding then skips wire.Assign and the call skips
-// reflect.Value.Call entirely.
+// The method is resolved through the dispatch table (see InvokerFor): a
+// generated invoker thunk when one is registered for obj's concrete type,
+// otherwise a reflective plan built on the first call of that (type,
+// method). A nil obj, or a name obj does not export, yields *NoMethodError.
 func InvokeCtx(ctx context.Context, obj any, method string, args []any) (any, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if inv := lookupInvoker(reflect.TypeOf(obj), method); inv != nil {
-		return inv(ctx, obj, args)
+	inv, err := Resolve(obj, method)
+	if err != nil {
+		return nil, err
 	}
-	rv := reflect.ValueOf(obj)
-	m := rv.MethodByName(method)
-	if !m.IsValid() {
-		return nil, &NoMethodError{Obj: obj, Method: method}
+	return inv(ctx, obj, args)
+}
+
+// Resolve returns the Invoker for method on obj's concrete type, or a
+// *NoMethodError when obj is nil or exports no such method. Callers that
+// apply one method many times (a batch replay) resolve it once.
+func Resolve(obj any, method string) (Invoker, error) {
+	if inv := InvokerFor(reflect.TypeOf(obj), method); inv != nil {
+		return inv, nil
 	}
-	mt := m.Type()
-	if mt.IsVariadic() {
-		return nil, fmt.Errorf("method %T.%s is variadic; not supported over the wire", obj, method)
+	return nil, &NoMethodError{Obj: obj, Method: method}
+}
+
+// plan is the reflective call of one (concrete type, method), resolved
+// once by InvokerFor so that later calls do no method lookup and no
+// signature inspection.
+type plan struct {
+	fn     reflect.Value  // the method's Func; the receiver is its first argument
+	name   string         // method name, for error messages
+	params []reflect.Type // wire parameters, after the optional context
+	ctx    bool           // the first parameter is a context.Context
+	valAt  int            // index of the value result, or -1
+	errAt  int            // index of the error result, or -1
+	bad    error          // the shape cannot be called over the wire
+}
+
+func newPlan(t reflect.Type, m reflect.Method) *plan {
+	p := &plan{fn: m.Func, name: m.Name, valAt: -1, errAt: -1}
+	ft := m.Type
+	if ft.IsVariadic() {
+		p.bad = fmt.Errorf("method %s.%s is variadic; not supported over the wire", t, m.Name)
+		return p
 	}
-	params := make([]reflect.Type, mt.NumIn())
-	for i := range params {
-		params[i] = mt.In(i)
+	for i := 1; i < ft.NumIn(); i++ { // In(0) is the receiver
+		p.params = append(p.params, ft.In(i))
 	}
-	var ctxVal []reflect.Value
-	if len(params) > 0 && params[0] == ctxType {
+	if len(p.params) > 0 && p.params[0] == ctxType {
+		p.ctx, p.params = true, p.params[1:]
+	}
+	switch ft.NumOut() {
+	case 0:
+	case 1:
+		if ft.Out(0).Implements(errorType) {
+			p.errAt = 0
+		} else {
+			p.valAt = 0
+		}
+	case 2:
+		if !ft.Out(1).Implements(errorType) {
+			p.bad = fmt.Errorf("method %s.%s: second result must be error", t, m.Name)
+		}
+		p.valAt, p.errAt = 0, 1
+	default:
+		p.bad = fmt.Errorf("method %s.%s: too many results (%d)", t, m.Name, ft.NumOut())
+	}
+	return p
+}
+
+// invoke is the plan's Invoker.
+func (p *plan) invoke(ctx context.Context, obj any, args []any) (any, error) {
+	if p.bad != nil {
+		return nil, p.bad
+	}
+	if len(args) != len(p.params) {
+		return nil, BadArity(obj, p.name, len(args), len(p.params))
+	}
+	var buf [6]reflect.Value
+	in := buf[:0]
+	if n := 2 + len(args); n > len(buf) {
+		in = make([]reflect.Value, 0, n)
+	}
+	in = append(in, reflect.ValueOf(obj))
+	if p.ctx {
 		if ctx == nil {
 			ctx = context.Background()
 		}
-		ctxVal = []reflect.Value{reflect.ValueOf(ctx)}
-		params = params[1:]
+		in = append(in, reflect.ValueOf(ctx))
 	}
-	in, err := wire.AssignArgs(params, args)
-	if err != nil {
-		return nil, fmt.Errorf("method %T.%s: %w", obj, method, err)
+	for i, a := range args {
+		v, err := wire.Assign(p.params[i], a)
+		if err != nil {
+			return nil, BadArg(obj, p.name, i, err)
+		}
+		in = append(in, v)
 	}
-	outs := m.Call(append(ctxVal, in...))
-	switch len(outs) {
-	case 0:
-		return nil, nil
-	case 1:
-		if isErrorValue(outs[0]) {
-			return nil, errOrNil(outs[0])
-		}
-		return outs[0].Interface(), nil
-	case 2:
-		if !isErrorValue(outs[1]) {
-			return nil, fmt.Errorf("method %T.%s: second result must be error", obj, method)
-		}
-		if err := errOrNil(outs[1]); err != nil {
-			return nil, err
-		}
-		return outs[0].Interface(), nil
-	default:
-		return nil, fmt.Errorf("method %T.%s: too many results (%d)", obj, method, len(outs))
+	out := p.fn.Call(in)
+	if p.errAt >= 0 && !out[p.errAt].IsNil() {
+		return nil, out[p.errAt].Interface().(error)
 	}
+	if p.valAt >= 0 {
+		return out[p.valAt].Interface(), nil
+	}
+	return nil, nil
 }
 
 // NoMethodError reports a failed method lookup. It names the candidate
@@ -134,14 +183,5 @@ func MethodNames(obj any) []string {
 // HasMethod reports whether obj exposes an exported method with the given
 // name; proxies use it to fail fast on typos.
 func HasMethod(obj any, method string) bool {
-	return reflect.ValueOf(obj).MethodByName(method).IsValid()
-}
-
-func isErrorValue(v reflect.Value) bool { return v.Type().Implements(errorType) }
-
-func errOrNil(v reflect.Value) error {
-	if v.IsNil() {
-		return nil
-	}
-	return v.Interface().(error)
+	return InvokerFor(reflect.TypeOf(obj), method) != nil
 }

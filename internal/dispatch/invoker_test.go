@@ -25,8 +25,8 @@ func (t *thunkTarget) WithCtx(ctx context.Context, s string) string {
 	return "ctx:" + s
 }
 
-// Reflected has no invokers registered; it must keep using the reflective
-// path untouched.
+// Reflected has no invokers registered; it is called through a reflective
+// plan.
 type reflectedTarget struct{}
 
 func (reflectedTarget) Double(v int) int { return 2 * v }
@@ -114,7 +114,7 @@ func TestInvokerFallbacks(t *testing.T) {
 	if !errors.Is(err, errs.ErrNoSuchMethod) {
 		t.Errorf("unknown method error = %v", err)
 	}
-	// Types without invokers never see the registry.
+	// Types without thunks run through reflective plans, never a thunk.
 	res, err := Invoke(reflectedTarget{}, "Double", []any{21})
 	if err != nil || res != 42 {
 		t.Errorf("reflective type: %v, %v", res, err)

@@ -270,9 +270,9 @@ type typeB struct{}
 
 func (typeB) Who() string { return "B" }
 
-// TestBoundSingleCallTypeChange: the invoker cache is keyed by concrete
-// type; a SingleCall factory that changes its mind must not dispatch
-// through a stale thunk.
+// TestBoundSingleCallTypeChange: dispatch resolves per concrete type; a
+// SingleCall factory that changes its mind must not dispatch through the
+// other type's invoker.
 func TestBoundSingleCallTypeChange(t *testing.T) {
 	ch, srv, _ := bindServer(t, false, false)
 	var n int
@@ -301,6 +301,28 @@ func TestBoundSingleCallTypeChange(t *testing.T) {
 	if seen["A"] != 4 || seen["B"] != 4 {
 		t.Errorf("seen = %v, want A:4 B:4", seen)
 	}
+}
+
+// TestNilObjectGetsNoSuchMethod: a factory that returns nil must answer
+// each call with ErrNoSuchMethod — over the declaring string envelope and
+// the compact envelope after it — and leave the server serving others.
+func TestNilObjectGetsNoSuchMethod(t *testing.T) {
+	ch, srv, _ := bindServer(t, false, false)
+	srv.RegisterWellKnown("nil", SingleCall, func() any { return nil })
+	ref, err := GetObject(ch, srv.URLFor("nil"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := ref.Invoke("Who"); !errors.Is(err, errs.ErrNoSuchMethod) {
+			t.Fatalf("call %d on a nil object: err = %v, want ErrNoSuchMethod", i, err)
+		}
+	}
+	d, err := GetObject(ch, srv.URLFor("d"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	callN(t, d, 2)
 }
 
 // TestUnboundHandleGetsErrorReply: a compact call for a handle the server

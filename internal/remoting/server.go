@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -341,26 +340,19 @@ type serverConn struct {
 	raws  [][]byte
 }
 
-// bindEntry is one bound (URI, Method) pair with its dispatch caches: the
-// resolved registration (validated by the server's registration
-// generation) and the invoker thunk for the concrete object type last
-// dispatched, so the steady-state bound path skips the objects-map lookup,
-// the invoker-registry lookups and the name-interning codec work.
+// bindEntry is one bound (URI, Method) pair with its resolved registration
+// (validated by the server's registration generation), so the steady-state
+// bound path skips the objects-map lookup and the name-interning codec
+// work.
 type bindEntry struct {
 	uri    string
 	method string
 	reg    atomic.Pointer[regCache]
-	inv    atomic.Pointer[invCache]
 }
 
 type regCache struct {
 	reg *registration
 	gen uint64
-}
-
-type invCache struct {
-	typ reflect.Type
-	inv dispatch.Invoker // nil: no generated thunk, use the reflective path
 }
 
 // declare records a bind declaration carried by a string envelope,
@@ -608,11 +600,11 @@ func errorResponseFor(req *callRequest, err error) *callResponse {
 }
 
 // dispatchEntry resolves the target object and invokes the requested
-// method, going through the bound entry's caches when the call arrived (or
-// was declared) with a handle. A request deadline becomes a context
-// deadline: expired requests are refused before touching the object, and
-// context-aware methods (first parameter context.Context) receive the
-// bounded context.
+// method, going through the bound entry's registration cache when the call
+// arrived (or was declared) with a handle. A request deadline becomes a
+// context deadline: expired requests are refused before touching the
+// object, and context-aware methods (first parameter context.Context)
+// receive the bounded context.
 func (s *Server) dispatchEntry(req *callRequest, e *bindEntry) *callResponse {
 	ctx := context.Background()
 	if req.TokClient != 0 {
@@ -650,12 +642,7 @@ func (s *Server) dispatchEntry(req *callRequest, e *bindEntry) *callResponse {
 	if err != nil {
 		return errorResponseFor(req, err)
 	}
-	var result any
-	if e != nil {
-		result, err = e.invoke(ctx, obj, req)
-	} else {
-		result, err = dispatch.InvokeCtx(ctx, obj, req.Method, req.Args)
-	}
+	result, err := dispatch.InvokeCtx(ctx, obj, req.Method, req.Args)
 	if err != nil {
 		return errorResponseFor(req, err)
 	}
@@ -682,28 +669,4 @@ func (s *Server) resolveBound(e *bindEntry) *registration {
 	// make a stale registration look fresh.
 	e.reg.Store(&regCache{reg: reg, gen: gen})
 	return reg
-}
-
-// invoke runs the bound method on obj through the cached invoker thunk,
-// re-resolving when the concrete type changes (a SingleCall factory is
-// free to return different types over time).
-func (e *bindEntry) invoke(ctx context.Context, obj any, req *callRequest) (any, error) {
-	t := reflect.TypeOf(obj)
-	ic := e.inv.Load()
-	if ic == nil || ic.typ != t {
-		ic = &invCache{typ: t, inv: dispatch.InvokerFor(t, e.method)}
-		e.inv.Store(ic)
-	}
-	if ic.inv != nil {
-		return ic.inv(ctx, obj, req.Args)
-	}
-	return dispatch.InvokeCtx(ctx, obj, req.Method, req.Args)
-}
-
-// InvokeLocal calls an exported method on obj by name with decoded wire
-// arguments; see dispatch.Invoke. It is reused by the SCOOPP runtime for
-// agglomerated (intra-grain) calls, which the paper routes directly to the
-// local IO (Fig. 3, call b).
-func InvokeLocal(obj any, method string, args []any) (any, error) {
-	return dispatch.Invoke(obj, method, args)
 }

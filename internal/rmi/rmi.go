@@ -18,9 +18,7 @@
 package rmi
 
 import (
-	"context"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -315,20 +313,16 @@ func (rt *Runtime) handleConn(c transport.Conn) {
 	}
 }
 
-// skelCache is one connection's dispatch cache: the last resolved export
-// (validated against the runtime's export generation, so Rebind/Unbind
-// take effect immediately) and the last resolved invoker thunk (validated
-// by concrete type and method). An RMI connection typically hammers one
-// stub's methods, so one entry captures the steady state. Owned by the
-// connection's read loop; never shared.
+// skelCache is one connection's dispatch cache: the last resolved export,
+// validated against the runtime's export generation, so Rebind/Unbind
+// take effect immediately. An RMI connection typically hammers one stub,
+// so one entry captures the steady state; the method itself resolves
+// through dispatch's table. Owned by the connection's read loop; never
+// shared.
 type skelCache struct {
 	gen    uint64
 	name   string
 	target any
-
-	mtype  reflect.Type
-	method string
-	inv    dispatch.Invoker
 }
 
 func (rt *Runtime) dispatchCached(call *rmiCall, sc *skelCache) *rmiReturn {
@@ -351,16 +345,7 @@ func (rt *Runtime) dispatchCached(call *rmiCall, sc *skelCache) *rmiReturn {
 	if target == nil {
 		return &rmiReturn{Seq: call.Seq, IsErr: true, ErrMsg: fmt.Sprintf("NoSuchObjectException: %s", call.Name)}
 	}
-	var result any
-	var err error
-	if t := reflect.TypeOf(target); sc.inv != nil && sc.mtype == t && sc.method == call.Method {
-		result, err = sc.inv(context.Background(), target, call.Args)
-	} else if inv := dispatch.InvokerFor(t, call.Method); inv != nil {
-		sc.mtype, sc.method, sc.inv = t, call.Method, inv
-		result, err = inv(context.Background(), target, call.Args)
-	} else {
-		result, err = dispatch.Invoke(target, call.Method, call.Args)
-	}
+	result, err := dispatch.Invoke(target, call.Method, call.Args)
 	if err != nil {
 		return &rmiReturn{Seq: call.Seq, IsErr: true, ErrMsg: err.Error()}
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/dispatch"
 )
 
 // Object is the typed handle of a parallel object whose implementation
@@ -213,18 +214,15 @@ var closedChan = func() chan struct{} {
 
 // checkMethod fails fast, before any network traffic, when method is not
 // in *T's method set; the error names the candidates and wraps
-// ErrNoSuchMethod.
+// ErrNoSuchMethod. The lookup goes through dispatch's table, so after the
+// first call of a method it is one map lookup.
 func checkMethod[T any](method string) error {
-	t := reflect.TypeOf((*T)(nil))
-	if _, ok := t.MethodByName(method); ok {
+	t := reflect.TypeFor[*T]()
+	if dispatch.InvokerFor(t, method) != nil {
 		return nil
 	}
-	names := make([]string, 0, t.NumMethod())
-	for i := 0; i < t.NumMethod(); i++ {
-		names = append(names, t.Method(i).Name)
-	}
 	candidates := "no exported methods"
-	if len(names) > 0 {
+	if names := dispatch.MethodNames((*T)(nil)); len(names) > 0 {
 		candidates = "exported methods: " + strings.Join(names, ", ")
 	}
 	return fmt.Errorf("parc: %s has no method %q (%s): %w", t.Elem(), method, candidates, ErrNoSuchMethod)

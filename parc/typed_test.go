@@ -3,6 +3,7 @@ package parc_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -334,4 +335,32 @@ func containsAll(s string, subs ...string) bool {
 		}
 	}
 	return true
+}
+
+// variadicClass has a method the wire cannot carry.
+type variadicClass struct{}
+
+func (*variadicClass) Sum(xs ...int) int { return len(xs) }
+
+// A variadic method exists, so the client-side method check passes; the
+// hosting node then refuses it with its own error, not ErrNoSuchMethod.
+func TestVariadicMethodRefusedByServer(t *testing.T) {
+	ctx := context.Background()
+	cl, err := parc.StartCluster(parc.WithNodes(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	parc.Register[variadicClass](cl, "variadic")
+	var obj *parc.Object[variadicClass]
+	for obj == nil || obj.Proxy().IsLocal() {
+		if obj, err = parc.New[variadicClass](cl, "variadic"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = parc.Call[int](ctx, obj, "Sum", 1, 2)
+	if err == nil || errors.Is(err, parc.ErrNoSuchMethod) ||
+		!strings.Contains(err.Error(), "variadic; not supported over the wire") {
+		t.Errorf("Call(Sum) = %v, want the server's variadic refusal", err)
+	}
 }
